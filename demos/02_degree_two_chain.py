@@ -8,7 +8,7 @@ package and the fifth is verified by counting.
 """
 
 from partition_forge import load_energy
-from partition_forge.deg2 import merge_flat1, rmap, split_flat2, verify_flatreg2
+from partition_forge.deg2 import flatreg2_table, merge_flat1, rmap, split_flat2
 from partition_forge.families import Budget, members
 from partition_forge.core import format_partition
 
@@ -17,9 +17,9 @@ a, b = colors.index("a"), colors.index("b")
 
 print("word=ab, six families per size:")
 print("n    F2  F1  R1   O   E  R2")
-for n in range(11):
-    counts = verify_flatreg2(energy, colors, (a, b), n)["counts"]
-    print("%-3d" % n, " ".join("%3d" % counts[k] for k in ("F2", "F1", "R1", "O", "E", "R2")))
+for row in flatreg2_table(energy, colors, (a, b), 10):
+    counts = row["counts"]
+    print("%-3d" % row["n"], " ".join("%3d" % counts[k] for k in ("F2", "F1", "R1", "O", "E", "R2")))
 
 print()
 print("one F2 member through the chain:")

@@ -30,6 +30,7 @@ from .families import Budget, count_by_word, is_member, members, validate_member
 from .deg1 import conjugate, decompose, omega, omega_inv, recompose
 from .deg2 import (
     add_ground,
+    flatreg2_table,
     merge_flat1,
     rmap,
     rmap_inv,

@@ -9,16 +9,16 @@ energy files), with a diagnostic naming the violated constraint.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import characters, deg1, deg2, degk, families, series
 from .core import (
     EnergyStructureError,
     InvalidPartitionError,
     UsageError,
+    _label_splits,
     format_partition,
     load_energy,
     parse_partition,
@@ -28,34 +28,15 @@ from .core import (
 )
 
 
-def _workers():
-    raw = os.environ.get("PARTITION_FORGE_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _grid_map(fn, items):
-    n = _workers()
-    if n > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _parse_word(text, colors):
     if not text:
         return ()
-    from .core import _label_splits
-
-    splits = _label_splits(text, colors)
-    splits = [w for w in splits if colors.ground not in w]
-    if not splits:
+    count, word = _label_splits(text, colors, exclude={colors.ground})
+    if not count:
         raise UsageError("word %r does not spell non-ground colors" % (text,))
-    if len(splits) > 1:
+    if count > 1:
         raise UsageError("word %r is ambiguous" % (text,))
-    return splits[0]
+    return word
 
 
 def _partition_json(pi, colors, energy):
@@ -140,17 +121,14 @@ def _cmd_flatten(args):
 def _cmd_verify_deg2(args):
     colors, energy = load_energy(args.energy)
     word = _parse_word(args.word, colors)
-    rows = _grid_map(
-        lambda n: deg2.verify_flatreg2(energy, colors, word, n),
-        range(args.max_size + 1),
-    )
+    rows = deg2.flatreg2_table(energy, colors, word, args.max_size)
     ok = all(row["all_equal"] for row in rows)
     if args.json:
         print(json.dumps({"word": args.word, "rows": [
             {"n": r["n"], **r["counts"], "all_equal": r["all_equal"]} for r in rows
         ], "pass": ok}, indent=2))
     else:
-        labels = ("F2", "F1", "R1", "O", "E", "R2")
+        labels = [label for label, _ in deg2.FLATREG2_FAMILIES]
         print("n    " + "".join("%6s" % t for t in labels) + "   equal")
         for r in rows:
             print(
@@ -297,9 +275,12 @@ def build_parser():
     return parser
 
 
+# argparse parsers are not changed by parsing, so one serves every call
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (UsageError, InvalidPartitionError, EnergyStructureError) as exc:

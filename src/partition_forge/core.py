@@ -437,18 +437,32 @@ def flat_sizes(full_colors, energy, colors):
 _TOKEN = re.compile(r"^([+-]?\d+)(\S+)$")
 
 
-def _label_splits(label, colors, found=None, here=None):
-    if found is None:
-        found, here = [], []
-    if not label:
-        found.append(tuple(here))
-        return found
-    for name in colors.names:
-        if label.startswith(name):
-            here.append(colors.index(name))
-            _label_splits(label[len(name):], colors, found, here)
-            here.pop()
-    return found
+def _label_splits(label, colors, exclude=()):
+    """Count the ways to spell ``label`` as a sequence of color labels.
+
+    Returns ``(count, witness)``: the count is capped at 2 (already
+    ambiguous), and the witness is one split as a tuple of color indices,
+    or None when there is none.  Colors in ``exclude`` are left out.  A
+    right-to-left DP over suffixes, linear in the length of the label.
+    """
+    names = [(c, name) for c, name in enumerate(colors.names) if c not in exclude]
+    end = len(label)
+    ways = [0] * end + [1]  # ways[i]: splits of label[i:], capped at 2
+    step = [None] * (end + 1)  # step[i]: (color, next i) of one split of label[i:]
+    for i in range(end - 1, -1, -1):
+        for c, name in names:
+            j = i + len(name)
+            if ways[i] < 2 and j <= end and ways[j] and label.startswith(name, i):
+                ways[i] = min(2, ways[i] + ways[j])
+                if step[i] is None:
+                    step[i] = (c, j)
+    if not ways[0]:
+        return 0, None
+    witness, i = [], 0
+    while i < end:
+        c, i = step[i]
+        witness.append(c)
+    return ways[0], tuple(witness)
 
 
 def parse_part(token, colors, energy):
@@ -456,12 +470,11 @@ def parse_part(token, colors, energy):
     if not match:
         raise UsageError("malformed part token %r" % (token,))
     size = int(match.group(1))
-    splits = _label_splits(match.group(2), colors)
-    if not splits:
+    count, cs = _label_splits(match.group(2), colors)
+    if not count:
         raise UsageError("unknown color label in token %r" % (token,))
-    if len(splits) > 1:
+    if count > 1:
         raise UsageError("ambiguous color label in token %r" % (token,))
-    cs = splits[0]
     if len(cs) == 1:
         return Primary(size, cs[0])
     if len(cs) == 2:

@@ -16,10 +16,11 @@ from .core import (
     Secondary,
     ground_delta,
     lower_half,
+    partition_size,
     secondary_size,
     upper_half,
 )
-from .families import count_by_word, validate_member
+from .families import Budget, members, validate_member
 
 
 def split_flat2(pi, energy, colors):
@@ -125,16 +126,31 @@ def add_ground(pi, energy, colors):
     return out
 
 
+# (column label, family tag) of the six degree-two families, in table order
+FLATREG2_FAMILIES = (("F2", "F2"), ("F1", "F1"), ("R1", "R1"), ("O", "O+"), ("E", "E+"),
+                     ("R2", "R2"))
+
+
+def flatreg2_table(energy, colors, word, max_size):
+    """Count all six degree-two families at every size 0..max_size of one word.
+
+    Each family is walked once, under the budget ``count_by_word`` uses at
+    ``max_size``, and its members are bucketed by size.  Row n is the
+    ``verify_flatreg2`` record of the cell (word, n).
+    """
+    word = tuple(word)
+    budget = Budget(max_size=max_size, max_parts=len(word) + max_size + 1, word=word)
+    labels = [label for label, _ in FLATREG2_FAMILIES]
+    counts = [dict.fromkeys(labels, 0) for _ in range(max_size + 1)]
+    for label, tag in FLATREG2_FAMILIES:
+        for pi in members(tag, energy, colors, budget):
+            counts[partition_size(pi, energy)][label] += 1
+    return [
+        {"word": word, "n": n, "counts": row, "all_equal": len(set(row.values())) == 1}
+        for n, row in enumerate(counts)
+    ]
+
+
 def verify_flatreg2(energy, colors, word, n):
     """Count all six degree-two families at one (word, size) cell."""
-    word = tuple(word)
-    tags = (("F2", "F2"), ("F1", "F1"), ("R1", "R1"), ("O", "O+"), ("E", "E+"), ("R2", "R2"))
-    counts = {}
-    for label, tag in tags:
-        counts[label] = count_by_word(tag, energy, colors, word, n)
-    return {
-        "word": word,
-        "n": n,
-        "counts": counts,
-        "all_equal": len(set(counts.values())) == 1,
-    }
+    return flatreg2_table(energy, colors, word, n)[-1]

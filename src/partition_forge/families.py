@@ -168,7 +168,9 @@ def _f2_members(energy, colors, budget, transform=None):
         parts = []
         for size, (x, y) in seq:
             e = energy.e(x, y)
-            assert (size - e) % 2 == 0
+            if (size - e) % 2:
+                raise UsageError("secondary part size %d has the wrong parity; "
+                                 "energy unsuitable for flat enumeration" % size)
             parts.append(Secondary((size - e) // 2, x, y))
         out.append(tuple(parts) + (Secondary(0, g, g),))
     return out
@@ -185,7 +187,9 @@ def _fk_members(energy, colors, budget, k):
         parts = []
         for size, cs in seq:
             inner = sum(u * energy.e(cs[u - 1], cs[u]) for u in range(1, k))
-            assert (size - inner) % k == 0
+            if (size - inner) % k:
+                raise UsageError("size %d does not fit a degree-%d part; "
+                                 "energy unsuitable for flat enumeration" % (size, k))
             parts.append(DegreeK((size - inner) // k, cs))
         out.append(tuple(parts) + (DegreeK(0, (g,) * k),))
     return out

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from partition_forge import cli
 from partition_forge.cli import main
+from partition_forge.core import UsageError, parse_energy
 
 from helpers import MIXED_TEXT, STRICT_TEXT
 
@@ -17,6 +19,10 @@ def energies(tmp_path):
     strict = tmp_path / "strict.energy"
     strict.write_text(STRICT_TEXT)
     return str(mixed), str(strict)
+
+
+# labels a and aa prefix each other: a run of n a's splits in Fibonacci(n + 1) ways
+PREFIX_TEXT = "a aa g\ng\n1 0 1\n0 1 1\n0 0 0\n"
 
 
 def run(capsys, *argv):
@@ -133,16 +139,8 @@ def test_missing_energy_file_exits_2(capsys):
     assert code == 2
 
 
-def test_threads_env_respected(capsys, energies, monkeypatch):
-    _, strict = energies
-    monkeypatch.setenv("PARTITION_FORGE_THREADS", "2")
-    code, out, _ = run(capsys, "verify-deg2", "--energy", strict, "--word", "a",
-                       "--max-size", "4")
-    assert code == 0 and "verdict: pass" in out
-
-
 def test_verify_mismatch_exits_1(capsys, monkeypatch):
-    import partition_forge.cli as cli
+    cli._shared_parser()  # the parser is built before the patch and still sees it
 
     def fake(name, order, m=None):
         return {"identity": name, "m": m, "order": order, "pass": False,
@@ -152,3 +150,68 @@ def test_verify_mismatch_exits_1(capsys, monkeypatch):
     code = cli.main(["verify", "--identity", "euler", "--order", "3"])
     out = capsys.readouterr().out
     assert code == 1 and "FAIL" in out
+
+
+def test_verify_deg2_negative_max_size_exits_2(capsys, energies):
+    _, strict = energies
+    code, out, err = run(capsys, "verify-deg2", "--energy", strict, "--word", "a",
+                         "--max-size", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: max_size must be non-negative\n"
+
+
+def test_verify_deg2_json_rows(capsys, energies):
+    mixed, _ = energies
+    code, out, _ = run(capsys, "verify-deg2", "--energy", mixed, "--word", "ba",
+                       "--max-size", "4", "--json")
+    data = json.loads(out)
+    assert code == 0 and data["pass"] and data["word"] == "ba"
+    assert [row["n"] for row in data["rows"]] == [0, 1, 2, 3, 4]
+    assert list(data["rows"][0]) == ["n", "F2", "F1", "R1", "O", "E", "R2", "all_equal"]
+
+
+def test_long_prefix_label_is_ambiguous(capsys, tmp_path):
+    path = tmp_path / "prefix.energy"
+    path.write_text(PREFIX_TEXT)
+    code, out, err = run(capsys, "omega", "--energy", str(path),
+                         "--in", "1" + "a" * 200 + " 0g")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ambiguous color label in token")
+
+
+def test_parse_word_rejects_ground_only():
+    colors, _ = parse_energy(PREFIX_TEXT)
+    with pytest.raises(UsageError, match="does not spell non-ground colors"):
+        cli._parse_word("g", colors)
+    with pytest.raises(UsageError, match="does not spell non-ground colors"):
+        cli._parse_word("gg", colors)
+    with pytest.raises(UsageError, match="ambiguous"):
+        cli._parse_word("aa", colors)
+    assert cli._parse_word("a", colors) == (0,)
+
+
+def test_shared_parser_matches_fresh_parser(capsys, energies, monkeypatch):
+    mixed, strict = energies
+    requests = (
+        ("count", "--family", "Q1", "--energy", strict, "--word", "a", "--size", "1"),
+        ("omega", "--energy", mixed, "--in", FLAT_TEXT),
+        ("verify-deg2", "--energy", strict, "--word", "ab", "--max-size", "5"),
+    )
+
+    def outcomes():
+        got = []
+        for argv in requests:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        return got
+
+    shared = outcomes()
+    assert cli._shared_parser() is cli._shared_parser()
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    assert outcomes() == shared
+    assert [code for code, _, _ in shared] == [2, 0, 0]
+    assert shared[0][2].startswith("usage: partition-forge count")

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from partition_forge.core import (
+    _label_splits,
     ColorSystem,
     EnergyMatrix,
     EnergyStructureError,
@@ -249,3 +251,38 @@ def test_degree_two_energies_reject_bad_colors():
         epsilon2(energy, 0, 1, 9, 0)
     with pytest.raises(UsageError):
         epsilon2_prime(energy, colors, -1, 1, 0, 0)
+
+
+def _brute_splits(label, names, exclude):
+    """Every split of label into the allowed names, by plain recursion."""
+    if not label:
+        return [()]
+    return [
+        (c,) + rest
+        for c, name in enumerate(names)
+        if c not in exclude and label.startswith(name)
+        for rest in _brute_splits(label[len(name):], names, exclude)
+    ]
+
+
+@given(
+    st.lists(st.text("ab", min_size=1, max_size=3), min_size=1, max_size=6, unique=True),
+    st.text("ab", max_size=10),
+    st.sets(st.integers(0, 5), max_size=2),
+)
+@example(["a", "aa", "b"], "aaaa", set())
+@example(["a", "aa", "b"], "aaba", {0})
+@settings(max_examples=300, deadline=None)
+def test_label_splits_match_brute_force(names, label, exclude):
+    colors = ColorSystem(tuple(names), 0)
+    found = _brute_splits(label, names, exclude)
+    count, witness = _label_splits(label, colors, exclude=exclude)
+    assert count == min(2, len(found))
+    assert witness == (found[0] if found else None)
+
+
+def test_label_splits_long_prefix_run():
+    # a run of n a's splits in Fibonacci(n + 1) ways, too many to list
+    colors = ColorSystem(("a", "aa", "g"), 2)
+    assert _label_splits("a" * 200, colors) == (2, (0,) * 200)
+    assert _label_splits("aa" * 100 + "g", colors, exclude={2}) == (0, None)

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from partition_forge.core import (
@@ -10,8 +12,10 @@ from partition_forge.core import (
     secondary_regular_rel,
 )
 from partition_forge.deg2 import (
+    FLATREG2_FAMILIES,
     add_ground,
     embed_part,
+    flatreg2_table,
     merge_flat1,
     rmap,
     rmap_inv,
@@ -19,9 +23,9 @@ from partition_forge.deg2 import (
     strip_ground,
     verify_flatreg2,
 )
-from partition_forge.families import Budget, members
+from partition_forge.families import Budget, count_by_word, members
 
-from helpers import small_energies, strict_energy, w
+from helpers import mixed_energy, small_energies, strict_energy, w
 
 
 def test_split_merge_examples():
@@ -150,6 +154,22 @@ def test_verify_flatreg2_examples():
     assert report["all_equal"] and set(report["counts"].values()) == {1}
     report = verify_flatreg2(energy, colors, w(colors, "a"), 1)
     assert report["all_equal"] and report["counts"]["F2"] == 1
+
+
+@pytest.mark.parametrize("shipped", [mixed_energy, strict_energy])
+def test_flatreg2_table_rows_match_cells(shipped):
+    colors, energy = shipped()
+    max_size = 7
+    for length in range(4):
+        for letters in product("ab", repeat=length):
+            word = w(colors, "".join(letters))
+            table = flatreg2_table(energy, colors, word, max_size)
+            cells = [verify_flatreg2(energy, colors, word, n) for n in range(max_size + 1)]
+            assert table == cells
+            for row in table:
+                for label, tag in FLATREG2_FAMILIES:
+                    assert row["counts"][label] == count_by_word(
+                        tag, energy, colors, word, row["n"]), (letters, row)
 
 
 def test_split_merge_preserve_size_and_word():

@@ -163,3 +163,17 @@ def test_grounded_families_need_compatible_energy():
     bad = EnergyMatrix(((1, 1), (1, 0)))
     with pytest.raises(UsageError):
         members("F1", bad, colors, Budget(3, 3))
+
+
+def test_flat_parity_checks_survive_optimisation():
+    # eps(ground, ground) = 1 breaks the parity of the flat sizes; the check
+    # is an explicit raise, so it also holds under python -O
+    from partition_forge.core import ColorSystem, EnergyMatrix
+    from partition_forge.families import _f2_members, _fk_members
+
+    colors = ColorSystem(("a", "g"), 1)
+    odd_ground = EnergyMatrix(((0, 1), (0, 1)))
+    with pytest.raises(UsageError, match="wrong parity"):
+        _f2_members(odd_ground, colors, Budget(3, 3))
+    with pytest.raises(UsageError, match="does not fit a degree-2 part"):
+        _fk_members(odd_ground, colors, Budget(3, 3), 2)
