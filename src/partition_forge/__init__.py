@@ -23,7 +23,6 @@ from .core import (
     parse_partition,
     part_size,
     partition_size,
-    relate,
     validate_energy,
 )
 from .families import Budget, count_by_word, is_member, members, validate_member

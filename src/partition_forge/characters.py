@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import classic
 from .core import ColorSystem, EnergyMatrix, SizeTransform, UsageError
-from .families import Budget, members
+from .families import Budget, _f1_members, members
 from .series import (
     ProductFactor,
     gf_from_partitions,
@@ -187,11 +187,9 @@ def character_lhs(config, order, route="direct"):
     The member lists are consumed unsorted: the series sum is order-free and
     the direct route alone can visit millions of partitions at order ten.
     """
-    from .families import _f1_members
-
     budget, stall = _character_budget(config.colors, order)
     if route == "direct":
-        flats = _flat_direct(config, budget, stall)
+        flats = _f1_members(config.energy_prime, config.colors, budget, stall_limit=stall)
         weight, nvars = partition_weight(config.colors, config.energy_prime)
     elif route == "transform":
         flats = _f1_members(
@@ -203,23 +201,6 @@ def character_lhs(config, order, route="direct"):
     else:
         raise UsageError("route must be 'direct' or 'transform'")
     return gf_from_partitions(flats, weight, order, nvars)
-
-
-def _flat_direct(config, budget, stall):
-    from .families import flat_walk
-    from .core import Primary
-
-    g = config.colors.ground
-    seqs = flat_walk(
-        range(config.colors.n),
-        g,
-        config.energy_prime.e,
-        budget,
-        stall_limit=stall,
-    )
-    return [
-        tuple(Primary(sz, c) for sz, c in seq) + (Primary(0, g),) for seq in seqs
-    ]
 
 
 def character_rhs(config, order):

@@ -344,13 +344,6 @@ def epsilon2_prime(energy, colors, c, cp, d, dp):
 # ---------------------------------------------------------------------------
 # relations
 
-FLAT = "flat"
-MIN_DIFF = "min-diff"
-MIXED = "mixed"
-SECONDARY_REGULAR = "secondary-regular"
-
-RELATION_TAGS = (FLAT, MIN_DIFF, MIXED, SECONDARY_REGULAR)
-
 
 def flat_rel(x, y, energy):
     if isinstance(x, Primary) and isinstance(y, Primary):
@@ -388,21 +381,6 @@ def secondary_regular_rel(x, y, energy, colors):
         raise UsageError("secondary-regular relation needs two secondary parts")
     gap = x.half - y.half - energy.e(x.right, y.left) - energy.e(y.left, y.right)
     return gap >= delta_exception(energy, colors, x.left, x.right, y.left, y.right)
-
-
-def relate(x, y, energy, tag, colors=None):
-    """Evaluate the tagged binary relation between two parts."""
-    if tag == FLAT:
-        return flat_rel(x, y, energy)
-    if tag == MIN_DIFF:
-        return min_diff_rel(x, y, energy)
-    if tag == MIXED:
-        return mixed_rel(x, y, energy)
-    if tag == SECONDARY_REGULAR:
-        if colors is None:
-            raise UsageError("secondary-regular relation needs the color system")
-        return secondary_regular_rel(x, y, energy, colors)
-    raise UsageError("unknown relation tag %r" % (tag,))
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,31 @@
 The generators walk the family definitions directly and serve as the
 independent oracle layer: every bijection and identity in the package is
 checked against the lists produced here.  All walks are finite under a
-budget (total size cap, part-count cap, optional color-word filter) and
-return canonically sorted, duplicate-free lists.
+budget (total size cap, part-count cap, optional color-word filter).
 
-Flat families are walked right to left (a flat partition is determined by
-its full color sequence, so the walk prepends colors and the sizes are
-forced).  Minimal-difference families are walked left to right, descending
-over admissible next parts with remaining-size pruning.
+One driver, ``_walk``, does every walk: a depth-first search kept on an
+explicit stack of child generators, so no budget can overflow the Python
+stack.  A family supplies only its successor rule: ``children(state)``
+yields ``(part, next_state, keep)`` for every admissible next part, where
+``keep`` says whether the path ending in that part is emitted.  There are
+three rules:
+
+- flat (F1, F2, Fk and both character routes): a flat partition is
+  determined by its full color sequence, so the walk runs right to left,
+  prepending symbols whose sizes are forced;
+- half line (O+, O-, E+, E- and the body of R1): non-ground parts on one
+  side of rho = 1 - delta_g, walked left to right over the admissible next
+  sizes with remaining-size pruning.  O is E's primary branch with a gap of
+  at least eps where E needs eps + 1, and no secondary parts;
+- R2: secondary parts over every color pair but the ground pair, left to
+  right.
+
+Each walk visits a member once, so no deduplication is needed.  ``members``
+returns the canonical order of ``canonical_key``: by length, then the part
+sizes, then the color sequence, then the partition tuple itself.  The last
+component breaks the ties, which occur only in E+ and E-, where primary and
+secondary parts can group the same colors differently (``5a 2ba`` and
+``5ab 2a`` on the strict energy).
 """
 
 from __future__ import annotations
@@ -62,28 +80,48 @@ class Budget:
 def canonical_key(pi, energy):
     sizes = tuple(part_size(p, energy) for p in pi)
     cols = tuple(c for p in pi for c in part_color_seq(p))
-    return (len(pi), sizes, cols)
+    return (len(pi), sizes, cols, pi)
 
 
 def _sorted_members(members, energy):
-    members = sorted(set(members), key=lambda pi: canonical_key(pi, energy))
-    return members
+    return sorted(members, key=lambda pi: canonical_key(pi, energy))
 
 
-def _part_cost(part, energy, transform):
-    if transform is None:
-        return part_size(part, energy)
-    return transform.part_degree(part, energy)
+def _walk(children, root, budget):
+    """Every kept path of a depth-first walk from ``root``, as a tuple of parts.
+
+    The empty path is kept when the budget has no word to spell; no path
+    grows past the part cap.
+    """
+    if not budget.word:
+        yield ()
+    max_parts = budget.max_parts
+    path = []
+    stack = [children(root)]  # stack[i] yields the successors of path[:i]
+    while stack:
+        for part, state, keep in stack[-1]:
+            path.append(part)
+            if keep:
+                yield tuple(path)
+            if len(path) < max_parts:
+                stack.append(children(state))
+            else:
+                path.pop()
+            break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
 
 
 # ---------------------------------------------------------------------------
-# flat walk (shared by F1, F2, Fk and the character enumerations)
+# flat rule (F1, F2, Fk and the character enumerations)
 
 
 def flat_walk(all_syms, ground_sym, eps, budget, cost=None, letters=None, stall_limit=None):
     """All flat grounded sequences under a budget.
 
-    Yields tuples of (size, sym) read left to right, excluding the terminal
+    Returns tuples of (size, sym) read left to right, excluding the terminal
     ground part.  ``eps(x, y)`` is the energy between symbols, ``cost(size,
     sym)`` the budget charge of one part (the size itself by default), and
     ``letters(sym)`` the non-ground word letters the symbol contributes.
@@ -96,20 +134,18 @@ def flat_walk(all_syms, ground_sym, eps, budget, cost=None, letters=None, stall_
         cost = lambda size, sym: size
     if letters is None:
         letters = lambda sym: (sym,) if sym != ground_sym else ()
-    max_size, max_parts = budget.max_size, budget.max_parts
-    results = []
+    max_size = budget.max_size
 
-    def down(stack, fsize, fsym, total, consumed, zrun):
-        if word is None or consumed == wlen:
-            results.append(tuple(reversed(stack)))
-        if len(stack) >= max_parts:
-            return
-        empty = fsym is None
-        below_sym = ground_sym if empty else fsym
-        below_size = 0 if empty else fsize
+    def children(state):
+        # the part to the right, the budget spent, the word letters consumed
+        # from the right, and the current run of zero-cost parts
+        (below_size, below_sym), total, consumed, zrun = state
+        first = below_sym is None
+        if first:
+            below_sym = ground_sym
         for sym in all_syms:
             size = eps(sym, below_sym) + below_size
-            if empty and sym == ground_sym and size == 0:
+            if first and sym == ground_sym and size == 0:
                 continue  # would duplicate the terminal zero ground part
             if size < 0:
                 raise UsageError("negative part size; energy unsuitable for flat enumeration")
@@ -118,26 +154,20 @@ def flat_walk(all_syms, ground_sym, eps, budget, cost=None, letters=None, stall_
                 raise UsageError("negative transformed degree in flat enumeration")
             if total + charge > max_size:
                 continue
+            ncons = consumed
             if word is not None:
                 lab = letters(sym)
                 if lab:
-                    n = len(lab)
-                    if consumed + n > wlen or word[wlen - consumed - n : wlen - consumed] != lab:
+                    ncons += len(lab)
+                    if ncons > wlen or word[wlen - ncons : wlen - consumed] != lab:
                         continue
-                    ncons = consumed + n
-                else:
-                    ncons = consumed
-            else:
-                ncons = consumed
             nz = zrun + 1 if charge == 0 else 0
             if stall_limit is not None and nz > stall_limit:
                 raise RuntimeError("flat walk stalled on zero-cost parts")
-            stack.append((size, sym))
-            down(stack, size, sym, total + charge, ncons, nz)
-            stack.pop()
+            part = (size, sym)
+            yield part, (part, total + charge, ncons, nz), word is None or ncons == wlen
 
-    down([], 0, None, 0, 0, 0)
-    return results
+    return [seq[::-1] for seq in _walk(children, ((0, None), 0, 0, 0), budget)]
 
 
 def _f1_members(energy, colors, budget, transform=None, stall_limit=None):
@@ -196,143 +226,65 @@ def _fk_members(energy, colors, budget, k):
 
 
 # ---------------------------------------------------------------------------
-# minimal-difference walks
+# half-line rule (O+, O-, E+, E- and the body of R1)
 
 
-def _o_plus_walk(energy, colors, budget, rho, transform=None):
-    """Primary parts over the non-ground colors, sizes >= rho."""
+def _half_line(energy, colors, budget, plus=True, secondary=False, transform=None):
+    """Non-ground parts on one half line: primary parts, and with
+    ``secondary`` also secondary parts.
+
+    Upward (``plus``) every part lies at or above rho = 1 - delta_g, a
+    secondary part by its lower half.  Downward every part lies at or below
+    rho, a secondary part by its upper half; sizes may be negative, the
+    budget is read as |total size| <= max_size, and the energy must be
+    non-negative so that sizes weakly decrease.
+    """
+    rho = 1 - ground_delta(energy, colors)
+    if not plus:
+        if transform is not None:
+            raise UsageError("transforms are not supported for half-line-down enumeration")
+        if any(v < 0 for row in energy.values for v in row):
+            raise UsageError("half-line-down enumeration needs a non-negative energy")
     word = budget.word
     wlen = len(word) if word is not None else 0
     sc = transform.scale if transform else 1
     sh = transform.shifts if transform else (0,) * colors.n
     ev = energy.values
-    max_size, max_parts = budget.max_size, budget.max_parts
+    max_size = budget.max_size
     non_ground = colors.non_ground
-    results = []
-    out = results.append
+    pairs = tuple(product(non_ground, repeat=2))
+    gap = 1 if secondary else 0  # E's primary parts differ by more than eps, O's by at least eps
 
-    def down(stack, prev_size, prev_color, total, widx):
-        if word is None or widx == wlen:
-            out(tuple(stack))
-        if len(stack) >= max_parts:
-            return
-        if word is None:
-            cands = non_ground
-        else:
-            cands = (word[widx],) if widx < wlen else ()
-        for c in cands:
-            hi = (max_size - total - sh[c]) // sc
-            if prev_color is not None:
-                rel = prev_size - ev[prev_color][c]
-                if rel < hi:
-                    hi = rel
-            for k in range(rho, hi + 1):
-                charge = sc * k + sh[c]
-                if charge < 0:
-                    raise UsageError("negative transformed degree in enumeration")
-                stack.append(Primary(k, c))
-                down(stack, k, c, total + charge, widx + 1)
-                stack.pop()
-
-    down([], 0, None, 0, 0)
-    return results
-
-
-def _o_minus_walk(energy, colors, budget, rho):
-    """Primary parts over the non-ground colors, sizes <= rho.
-
-    Sizes may be negative; the budget is read as |total size| <= max_size.
-    Requires a non-negative energy so parts are weakly decreasing.
-    """
-    if any(v < 0 for row in energy.values for v in row):
-        raise UsageError("half-line-down enumeration needs a non-negative energy")
-    word = budget.word
-    wlen = len(word) if word is not None else 0
-    results = []
-
-    def down(stack, prev, total, widx):
-        if (word is None or widx == wlen) and -budget.max_size <= total <= budget.max_size:
-            results.append(tuple(stack))
-        if len(stack) >= budget.max_parts:
-            return
-        if word is None:
-            cands = colors.non_ground
-        else:
-            cands = (word[widx],) if widx < wlen else ()
-        for c in cands:
-            hi = rho
-            if prev is not None:
-                hi = min(hi, prev.size - energy.e(prev.color, c))
-            lo = -budget.max_size - total
-            for k in range(lo, hi + 1):
-                part = Primary(k, c)
-                stack.append(part)
-                down(stack, part, total + k, widx + 1)
-                stack.pop()
-
-    down([], None, 0, 0)
-    return results
-
-
-def _e_walk(energy, colors, budget, rho, plus=True, transform=None):
-    """Primary and secondary parts over the non-ground colors, on one half line."""
-    word = budget.word
-    wlen = len(word) if word is not None else 0
-    sc = transform.scale if transform else 1
-    sh = transform.shifts if transform else (0,) * colors.n
-    e = energy.e
-    max_parts, max_size = budget.max_parts, budget.max_size
-    results = []
-
-    if not plus and any(v < 0 for row in energy.values for v in row):
-        raise UsageError("half-line-down enumeration needs a non-negative energy")
-
-    def emit_ok(total):
-        if plus:
-            return True
-        return -max_size <= total <= max_size
-
-    def down(stack, prev, total, widx):
-        if (word is None or widx == wlen) and emit_ok(total):
-            results.append(tuple(stack))
-        if len(stack) >= max_parts:
-            return
-        # primary candidates
-        if word is None:
-            prim = colors.non_ground
-        else:
-            prim = (word[widx],) if widx < wlen else ()
-        for d in prim:
+    def children(state):
+        prev, total, widx = state
+        for d in non_ground if word is None else word[widx : widx + 1]:
             if plus:
-                lo = rho
-                hi = (max_size - total - sh[d]) // sc
+                lo, hi = rho, (max_size - total - sh[d]) // sc
             else:
                 # sizes are weakly decreasing, so a too-negative total never recovers
-                lo = -max_size - total
-                hi = rho
+                lo, hi = -max_size - total, rho
             if prev is None:
                 pass
-            elif isinstance(prev, Primary):
-                hi = min(hi, prev.size - e(prev.color, d) - 1)
+            elif type(prev) is Primary:
+                hi = min(hi, prev.size - ev[prev.color][d] - gap)
             else:
-                hi = min(hi, 2 * prev.half - e(prev.right, d) - 1)
-            for l in range(lo, hi + 1):
-                charge = sc * l + sh[d]
+                hi = min(hi, 2 * prev.half - ev[prev.right][d] - 1)
+            spelt = word is None or widx + 1 == wlen
+            for k in range(lo, hi + 1):
+                charge = sc * k + sh[d]
                 if plus and charge < 0:
                     raise UsageError("negative transformed degree in enumeration")
-                part = Primary(l, d)
-                stack.append(part)
-                down(stack, part, total + charge, widx + 1)
-                stack.pop()
-        # secondary candidates
+                part = Primary(k, d)
+                t = total + charge
+                yield part, (part, t, widx + 1), spelt and (plus or -max_size <= t <= max_size)
+        if not secondary:
+            return
         if word is None:
-            sec = list(product(colors.non_ground, repeat=2))
-        elif widx + 2 <= wlen:
-            sec = [(word[widx], word[widx + 1])]
+            sec = pairs
         else:
-            sec = []
+            sec = (word[widx : widx + 2],) if widx + 2 <= wlen else ()
         for d, dp in sec:
-            edd = e(d, dp)
+            edd = ev[d][dp]
             if plus:
                 lo = rho
                 hi = ((max_size - total - sh[d] - sh[dp]) // sc - edd) // 2
@@ -341,60 +293,56 @@ def _e_walk(energy, colors, budget, rho, plus=True, transform=None):
                 hi = rho - edd
             if prev is None:
                 pass
-            elif isinstance(prev, Primary):
-                hi = min(hi, (prev.size - e(prev.color, d) - 2 * edd) // 2)
+            elif type(prev) is Primary:
+                hi = min(hi, (prev.size - ev[prev.color][d] - 2 * edd) // 2)
             else:
-                hi = min(hi, prev.half - e(prev.right, d) - edd)
+                hi = min(hi, prev.half - ev[prev.right][d] - edd)
+            spelt = word is None or widx + 2 == wlen
             for m in range(lo, hi + 1):
-                part = Secondary(m, d, dp)
                 charge = sc * (2 * m + edd) + sh[d] + sh[dp]
                 if plus and charge < 0:
                     raise UsageError("negative transformed degree in enumeration")
-                stack.append(part)
-                down(stack, part, total + charge, widx + 2)
-                stack.pop()
+                part = Secondary(m, d, dp)
+                t = total + charge
+                yield part, (part, t, widx + 2), spelt and (plus or -max_size <= t <= max_size)
 
-    down([], None, 0, 0)
-    return results
+    return _walk(children, (None, 0, 0), budget)
 
 
-def _r2_walk(energy, colors, budget, transform=None):
+# ---------------------------------------------------------------------------
+# R2 rule
+
+
+def _r2_members(energy, colors, budget, transform=None):
     """Secondary regular partitions: all color pairs but the ground pair."""
     g = colors.ground
-    dg = ground_delta(energy, colors)
-    rise = 1 if dg == 1 else 0
+    rise = ground_delta(energy, colors)
     word = budget.word
     wlen = len(word) if word is not None else 0
     sc = transform.scale if transform else 1
     sh = transform.shifts if transform else (0,) * colors.n
     e = energy.e
-    pairs = [p for p in product(range(colors.n), repeat=2) if p != (g, g)]
-    min_h = min(e(y, g) for _, y in pairs)
+    # each pair with the word letters it spells
+    pairs = [(d, dp, tuple(c for c in (d, dp) if c != g))
+             for d, dp in product(range(colors.n), repeat=2) if (d, dp) != (g, g)]
+    # a one-color system has no pairs, so only the terminal part is left
+    min_h = min((e(dp, g) for _, dp, _ in pairs), default=0)
     max_parts, max_size = budget.max_parts, budget.max_size
-    results = []
 
-    def down(stack, prev, total, widx):
-        if word is None or widx == wlen:
-            if not stack or stack[-1].half >= e(stack[-1].right, g):
-                if total <= max_size:
-                    results.append(tuple(stack) + (Secondary(0, g, g),))
-        if len(stack) >= max_parts:
-            return
-        slack = max_parts - len(stack) - 1
-        for d, dp in pairs:
+    def children(state):
+        prev, total, widx, depth = state
+        slack = max_parts - depth - 1
+        lo = min_h - rise * slack
+        # when delta_g = 1, halves may rise by one per step and later parts
+        # can shed size, so the budget bound carries a sound (loose) margin
+        shed = min(0, 2 * slack * (min_h - max_parts)) if rise else 0
+        for d, dp, lab in pairs:
+            nw = widx
             if word is not None:
-                lab = tuple(c for c in (d, dp) if c != g)
-                n = len(lab)
-                if word[widx : widx + n] != lab:
+                nw = widx + len(lab)
+                if word[widx:nw] != lab:
                     continue
-                nw = widx + n
-            else:
-                nw = widx
             edd = e(d, dp)
-            lo = min_h - rise * slack
-            # when delta_g = 1, halves may rise by one per step and later parts
-            # can shed size, so the budget bound carries a sound (loose) margin
-            shed = min(0, 2 * slack * (min_h - max_parts)) if rise else 0
             hi = ((max_size - total - shed - sh[d] - sh[dp]) // sc - edd) // 2
             if prev is not None:
                 hi = min(
@@ -404,15 +352,15 @@ def _r2_walk(energy, colors, budget, transform=None):
                     - edd
                     - delta_exception(energy, colors, prev.left, prev.right, d, dp),
                 )
+            spelt = word is None or nw == wlen
+            floor = e(dp, g)  # the last part before the terminal needs half >= eps(dp, g)
             for m in range(lo, hi + 1):
                 part = Secondary(m, d, dp)
-                charge = sc * (2 * m + edd) + sh[d] + sh[dp]
-                stack.append(part)
-                down(stack, part, total + charge, nw)
-                stack.pop()
+                t = total + sc * (2 * m + edd) + sh[d] + sh[dp]
+                yield part, (part, t, nw, depth + 1), spelt and m >= floor and t <= max_size
 
-    down([], None, 0, 0)
-    return results
+    term = (Secondary(0, g, g),)
+    return [pi + term for pi in _walk(children, (None, 0, 0, 0), budget)]
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +368,7 @@ def _r2_walk(energy, colors, budget, transform=None):
 
 
 def members(tag, energy, colors, budget, degree=None, transform=None):
-    """Complete, canonically sorted list of family members within a budget."""
+    """Complete list of family members within a budget, in canonical order."""
     if tag in (F1, R1, F2, R2, FK):
         ground_delta(energy, colors)  # grounded families need ground compatibility
     if tag == F1:
@@ -434,19 +382,13 @@ def members(tag, energy, colors, budget, degree=None, transform=None):
             raise UsageError("transforms are not supported for degree-k enumeration")
         out = _fk_members(energy, colors, budget, degree)
     elif tag == R1:
-        rho = 1 - ground_delta(energy, colors)
-        body = _o_plus_walk(energy, colors, budget, rho, transform=transform)
-        out = [pi + (Primary(0, colors.ground),) for pi in body]
+        term = (Primary(0, colors.ground),)
+        out = [pi + term for pi in _half_line(energy, colors, budget, transform=transform)]
     elif tag == R2:
-        out = _r2_walk(energy, colors, budget, transform=transform)
+        out = _r2_members(energy, colors, budget, transform=transform)
     elif tag in (O_PLUS, O_MINUS, E_PLUS, E_MINUS):
-        rho = 1 - ground_delta(energy, colors)
-        if tag == O_PLUS:
-            out = _o_plus_walk(energy, colors, budget, rho, transform=transform)
-        elif tag == O_MINUS:
-            out = _o_minus_walk(energy, colors, budget, rho)
-        else:
-            out = _e_walk(energy, colors, budget, rho, plus=(tag == E_PLUS), transform=transform)
+        out = _half_line(energy, colors, budget, plus=tag in (O_PLUS, E_PLUS),
+                         secondary=tag in (E_PLUS, E_MINUS), transform=transform)
     else:
         raise UsageError("unknown family tag %r" % (tag,))
     return _sorted_members(out, energy)

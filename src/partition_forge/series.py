@@ -269,10 +269,3 @@ def gf_from_partitions(partitions, weight, order, nvars):
         acc[key] = acc.get(key, 0) + 1
     return TruncatedSeries(order, nvars, acc)
 
-
-def series_mul(a, b):
-    return a * b
-
-
-def series_add(a, b):
-    return a + b

@@ -23,6 +23,10 @@ def energies(tmp_path):
 
 # labels a and aa prefix each other: a run of n a's splits in Fibonacci(n + 1) ways
 PREFIX_TEXT = "a aa g\ng\n1 0 1\n0 1 1\n0 0 0\n"
+# delta_g = 1 and eps(a, a) = 0: zero-size a parts repeat up to the length cap
+ZERO_RUN_TEXT = "a g\ng\n0 0\n1 0\n"
+# the ground color alone: every grounded family is just its terminal part
+GROUND_ONLY_TEXT = "g\ng\n0\n"
 
 
 def run(capsys, *argv):
@@ -158,6 +162,32 @@ def test_verify_deg2_negative_max_size_exits_2(capsys, energies):
                          "--max-size", "-1")
     assert code == 2 and out == ""
     assert err == "error: max_size must be non-negative\n"
+
+
+def test_deep_enumeration_exits_0(capsys, tmp_path):
+    path = tmp_path / "zero_run.energy"
+    path.write_text(ZERO_RUN_TEXT)
+    code, out, err = run(capsys, "enumerate", "--family", "F1", "--energy", str(path),
+                         "--max-size", "0", "--max-parts", "1500")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 1501
+    assert lines[0] == "0g" and lines[-1] == "0a " * 1500 + "0g"
+
+
+def test_ground_only_energy_r2(capsys, tmp_path):
+    path = tmp_path / "ground_only.energy"
+    path.write_text(GROUND_ONLY_TEXT)
+    energy = str(path)
+    code, out, _ = run(capsys, "enumerate", "--family", "R2", "--energy", energy,
+                       "--max-size", "3")
+    assert (code, out) == (0, "0gg\n")
+    code, out, _ = run(capsys, "count", "--family", "R2", "--energy", energy,
+                       "--word", "", "--size", "0")
+    assert (code, out) == (0, "1\n")
+    code, out, _ = run(capsys, "verify-deg2", "--energy", energy, "--word", "",
+                       "--max-size", "3")
+    assert code == 0 and "verdict: pass" in out
 
 
 def test_verify_deg2_json_rows(capsys, energies):

@@ -12,16 +12,18 @@ from partition_forge.core import (
     epsilon2,
     epsilon2_prime,
     delta_exception,
+    flat_rel,
     flat_sizes,
     format_energy,
     format_partition,
     ground_delta,
     lower_half,
     min_diff_rel,
+    mixed_rel,
     parse_energy,
     parse_partition,
     part_size,
-    relate,
+    secondary_regular_rel,
     secondary_size,
     upper_half,
     validate_energy,
@@ -92,8 +94,8 @@ def test_validate_energy_dimension_mismatch():
 def test_flat_relation_examples():
     colors, energy = mixed_energy()
     a, b = colors.index("a"), colors.index("b")
-    assert relate(Primary(1, a), Primary(1, b), energy, "flat")
-    assert not relate(Primary(2, a), Primary(1, b), energy, "flat")
+    assert flat_rel(Primary(1, a), Primary(1, b), energy)
+    assert not flat_rel(Primary(2, a), Primary(1, b), energy)
 
 
 def test_mixed_relation_example():
@@ -101,17 +103,19 @@ def test_mixed_relation_example():
     a, b = colors.index("a"), colors.index("b")
     five_ab = Secondary(2, a, b)
     assert secondary_size(five_ab, energy) == 5
-    assert relate(five_ab, Primary(1, a), energy, "mixed")
+    assert mixed_rel(five_ab, Primary(1, a), energy)
 
 
 def test_relation_kind_errors():
     colors, energy = strict_energy()
     with pytest.raises(UsageError):
-        relate(Primary(1, 0), Secondary(1, 0, 1), energy, "flat")
+        flat_rel(Primary(1, 0), Secondary(1, 0, 1), energy)
     with pytest.raises(UsageError):
-        relate(Primary(1, 0), Primary(0, 0), energy, "secondary-regular", colors)
+        min_diff_rel(Secondary(1, 0, 1), Primary(0, 0), energy)
     with pytest.raises(UsageError):
-        relate(Primary(1, 0), Primary(0, 0), energy, "no-such-tag")
+        mixed_rel(Primary(1, 0), (1, 0), energy)
+    with pytest.raises(UsageError):
+        secondary_regular_rel(Primary(1, 0), Primary(0, 0), energy, colors)
 
 
 def test_epsilon2_examples():
@@ -171,7 +175,7 @@ def test_secondary_halves():
                     part = Secondary(k, c, cp)
                     hi, lo = upper_half(part, energy), lower_half(part)
                     assert hi.size + lo.size == secondary_size(part, energy)
-                    assert relate(hi, lo, energy, "flat")
+                    assert flat_rel(hi, lo, energy)
 
 
 def test_flat_sizes_worked_example():

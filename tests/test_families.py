@@ -3,7 +3,10 @@ from collections import Counter
 import pytest
 
 from partition_forge.core import (
+    DegreeK,
     Primary,
+    Secondary,
+    SizeTransform,
     UsageError,
     color_word,
     parse_partition,
@@ -35,16 +38,21 @@ def test_r1_contains_worked_example():
 def test_f1_trivial_budget():
     from partition_forge.core import ground_delta
 
+    # every grounded family, on every small energy including the one-color one
     for colors, energy in small_energies():
-        found = members("F1", energy, colors, Budget(0, 1))
-        trivial = (Primary(0, colors.ground),)
-        if ground_delta(energy, colors) == 0:
-            # colored parts have positive size, so only the trivial partition fits
-            assert found == [trivial]
-        else:
-            # zero-size colored parts exist; the trivial partition still leads
-            assert found[0] == trivial
-            assert all(partition_size(pi, energy) == 0 for pi in found)
+        g = colors.ground
+        terminals = {"F1": Primary(0, g), "R1": Primary(0, g), "F2": Secondary(0, g, g),
+                     "R2": Secondary(0, g, g), "Fk": DegreeK(0, (g, g))}
+        for tag, terminal in terminals.items():
+            found = members(tag, energy, colors, Budget(0, 1), degree=2)
+            trivial = (terminal,)
+            if ground_delta(energy, colors) == 0:
+                # colored parts have positive size, so only the trivial partition fits
+                assert found == [trivial], (tag, energy)
+            else:
+                # zero-size colored parts exist; the trivial partition still leads
+                assert found[0] == trivial, (tag, energy)
+                assert all(partition_size(pi, energy) == 0 for pi in found)
 
 
 def _budget_for(tag, size, parts):
@@ -57,14 +65,23 @@ def _budget_for(tag, size, parts):
 
 def test_determinism_and_canonical_order():
     colors, energy = strict_energy()
-    for tag in ALL_TAGS:
+    for tag, degree in [(tag, None) for tag in ALL_TAGS] + [("Fk", 2), ("Fk", 3)]:
         budget = _budget_for(tag, 6, 5)
-        first = members(tag, energy, colors, budget)
-        second = members(tag, energy, colors, budget)
+        first = members(tag, energy, colors, budget, degree=degree)
+        second = members(tag, energy, colors, budget, degree=degree)
         assert first == second
         keys = [canonical_key(pi, energy) for pi in first]
-        assert keys == sorted(keys)
+        # strictly increasing: a total order, and no duplicates from the walks
+        assert all(a < b for a, b in zip(keys, keys[1:])), tag
         assert len(set(first)) == len(first)
+
+
+def test_downward_half_line_rejects_transform():
+    colors, energy = strict_energy()
+    transform = SizeTransform.identity(colors.n)
+    for tag in ("O-", "E-"):
+        with pytest.raises(UsageError, match="transforms are not supported"):
+            members(tag, energy, colors, Budget(3, 3), transform=transform)
 
 
 def test_closure_every_member_validates():
@@ -130,6 +147,8 @@ def test_zero_size_parts_need_length_cap():
     ][0]
     found = members("F1", energy, colors, Budget(0, 6))
     assert len(found) == 7  # zero through six zero-size parts of the one color
+    # the walk keeps its stack on the heap, so a deep budget cannot overflow
+    assert len(members("F1", energy, colors, Budget(0, 1500))) == 1501
 
 
 def test_budget_validation():
