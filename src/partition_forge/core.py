@@ -90,6 +90,11 @@ class EnergyMatrix:
         for row in rows:
             if len(row) != len(rows):
                 raise EnergyStructureError("energy table must be square")
+        # the maps look up ground_delta's cache on every call, so hash once
+        object.__setattr__(self, "_hash", hash(rows))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def n(self):

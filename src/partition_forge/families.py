@@ -20,7 +20,18 @@ three rules:
   sizes with remaining-size pruning.  O is E's primary branch with a gap of
   at least eps where E needs eps + 1, and no secondary parts;
 - R2: secondary parts over every color pair but the ground pair, left to
-  right.
+  right, pruned by exact tail tables computed once per call.  For each
+  pair p = (d, d') and tail length j, ``need[j][p]`` is the least half a
+  part of p can have and still be followed by j more parts and the
+  terminal: eps(d', g) at j = 0, then the least need[j-1][q] + gap(p, q)
+  over the next pair q, where gap is the drop in half the relation
+  requires.  ``least[j]`` bounds the charge of those j parts from below:
+  the sum over their positions of the least charge any pair can have
+  there.  A child (m, p) is generated only if some j within the part cap
+  has m >= need[j][p] and its charge plus least[j] inside the budget.  The
+  tables assume no signs, since a negative energy lets halves rise and a
+  transform's shifts can make charges negative.  On the catalog and
+  shipped energies the walk generates one child per member.
 
 Each walk visits a member once, so no deduplication is needed.  ``members``
 returns the canonical order of ``canonical_key``: by length, then the part
@@ -125,8 +136,9 @@ def flat_walk(all_syms, ground_sym, eps, budget, cost=None, letters=None, stall_
     ground part.  ``eps(x, y)`` is the energy between symbols, ``cost(size,
     sym)`` the budget charge of one part (the size itself by default), and
     ``letters(sym)`` the non-ground word letters the symbol contributes.
-    ``stall_limit`` bounds runs of zero-cost parts and raises when exceeded,
-    for walks whose termination relies on the cost rather than the length cap.
+    ``stall_limit`` bounds runs of zero-cost parts and raises ``UsageError``
+    when exceeded, for walks whose termination relies on the cost rather
+    than the length cap.
     """
     word = budget.word
     wlen = len(word) if word is not None else 0
@@ -163,7 +175,7 @@ def flat_walk(all_syms, ground_sym, eps, budget, cost=None, letters=None, stall_
                         continue
             nz = zrun + 1 if charge == 0 else 0
             if stall_limit is not None and nz > stall_limit:
-                raise RuntimeError("flat walk stalled on zero-cost parts")
+                raise UsageError("flat walk stalled on zero-cost parts")
             part = (size, sym)
             yield part, (part, total + charge, ncons, nz), word is None or ncons == wlen
 
@@ -316,51 +328,77 @@ def _half_line(energy, colors, budget, plus=True, secondary=False, transform=Non
 def _r2_members(energy, colors, budget, transform=None):
     """Secondary regular partitions: all color pairs but the ground pair."""
     g = colors.ground
-    rise = ground_delta(energy, colors)
     word = budget.word
     wlen = len(word) if word is not None else 0
     sc = transform.scale if transform else 1
     sh = transform.shifts if transform else (0,) * colors.n
     e = energy.e
-    # each pair with the word letters it spells
-    pairs = [(d, dp, tuple(c for c in (d, dp) if c != g))
-             for d, dp in product(range(colors.n), repeat=2) if (d, dp) != (g, g)]
     # a one-color system has no pairs, so only the terminal part is left
-    min_h = min((e(dp, g) for _, dp, _ in pairs), default=0)
+    pairs = [(d, dp) for d, dp in product(range(colors.n), repeat=2) if (d, dp) != (g, g)]
+    labels = [tuple(c for c in pair if c != g) for pair in pairs]
+    eps = [e(d, dp) for d, dp in pairs]
+    base = [sh[d] + sh[dp] for d, dp in pairs]
+    # gap[p][q]: the least drop in half from a part of pair p to one of pair q
+    gap = [[e(dp, d) + e(d, dq) + delta_exception(energy, colors, c, dp, d, dq)
+            for d, dq in pairs] for c, dp in pairs]
     max_parts, max_size = budget.max_parts, budget.max_size
+    span = range(len(pairs))
+
+    # Exact tail tables.  need[p] is the least half of a part of pair p that
+    # j more parts and the terminal can follow; least bounds the charge of
+    # those j parts from below.  fronts[j][p] keeps the pairs (need, least)
+    # over tail lengths up to j that no other length beats on both, by
+    # rising need.
+    need = last = [e(dp, g) for _, dp in pairs]  # the terminal part's relation
+    least = 0
+    front = [((need[p], 0),) for p in span]
+    fronts = [front]
+    for _ in range(1, max_parts):
+        least += min((sc * (2 * need[q] + eps[q]) + base[q] for q in span), default=0)
+        need = [min(need[q] + gap[p][q] for q in span) for p in span]
+        front = [_pareto_add(front[p], need[p], least) for p in span]
+        fronts.append(front)
 
     def children(state):
         prev, total, widx, depth = state
-        slack = max_parts - depth - 1
-        lo = min_h - rise * slack
-        # when delta_g = 1, halves may rise by one per step and later parts
-        # can shed size, so the budget bound carries a sound (loose) margin
-        shed = min(0, 2 * slack * (min_h - max_parts)) if rise else 0
-        for d, dp, lab in pairs:
+        room = max_size - total
+        for p in span:
             nw = widx
             if word is not None:
-                nw = widx + len(lab)
-                if word[widx:nw] != lab:
+                nw = widx + len(labels[p])
+                if word[widx:nw] != labels[p]:
                     continue
-            edd = e(d, dp)
-            hi = ((max_size - total - shed - sh[d] - sh[dp]) // sc - edd) // 2
-            if prev is not None:
-                hi = min(
-                    hi,
-                    prev.half
-                    - e(prev.right, d)
-                    - edd
-                    - delta_exception(energy, colors, prev.left, prev.right, d, dp),
-                )
+            slack = max_parts - depth - 1
+            if word is not None:
+                slack = min(slack, wlen - nw)  # every part spells a letter
+            top = None if prev is None else prev[0] - gap[prev[1]][p]
             spelt = word is None or nw == wlen
-            floor = e(dp, g)  # the last part before the terminal needs half >= eps(dp, g)
-            for m in range(lo, hi + 1):
-                part = Secondary(m, d, dp)
-                t = total + sc * (2 * m + edd) + sh[d] + sh[dp]
-                yield part, (part, t, nw, depth + 1), spelt and m >= floor and t <= max_size
+            d, dp = pairs[p]
+            options = fronts[slack][p]
+            # the halves m with some tail length whose need m meets and whose
+            # least charge the budget still covers
+            for f, (lo, tail) in enumerate(options):
+                hi = ((room - tail - base[p]) // sc - eps[p]) // 2
+                if f + 1 < len(options):
+                    hi = min(hi, options[f + 1][0] - 1)
+                if top is not None:
+                    hi = min(hi, top)
+                for m in range(lo, hi + 1):
+                    t = total + sc * (2 * m + eps[p]) + base[p]
+                    yield (Secondary(m, d, dp), ((m, p), t, nw, depth + 1),
+                           spelt and m >= last[p] and t <= max_size)
 
     term = (Secondary(0, g, g),)
     return [pi + term for pi in _walk(children, (None, 0, 0, 0), budget)]
+
+
+def _pareto_add(front, need, least):
+    """A (need, least) front, by rising need and falling least, with one point added."""
+    out = []
+    for point in sorted(front + ((need, least),)):
+        if not out or point[1] < out[-1][1]:
+            out.append(point)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,16 @@ def test_deep_enumeration_exits_0(capsys, tmp_path):
     assert lines[0] == "0g" and lines[-1] == "0a " * 1500 + "0g"
 
 
+def test_deep_r2_enumeration_exits_0(capsys, tmp_path):
+    # zero-size secondary parts chain without end on the mixed energy, but
+    # none can end before the terminal, so only the terminal part is listed
+    path = tmp_path / "mixed.energy"
+    path.write_text(MIXED_TEXT)
+    code, out, err = run(capsys, "enumerate", "--family", "R2", "--energy", str(path),
+                         "--max-size", "0", "--max-parts", "1500")
+    assert (code, out, err) == (0, "0cc\n", "")
+
+
 def test_ground_only_energy_r2(capsys, tmp_path):
     path = tmp_path / "ground_only.energy"
     path.write_text(GROUND_ONLY_TEXT)

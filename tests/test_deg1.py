@@ -1,15 +1,19 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from partition_forge.core import (
+    ColorSystem,
+    EnergyMatrix,
     InvalidPartitionError,
     Primary,
     UsageError,
     color_word,
+    flat_sizes,
     parse_partition,
     partition_size,
 )
 from partition_forge.deg1 import conjugate, decompose, omega, omega_inv, recompose
-from partition_forge.families import Budget, is_member, members
+from partition_forge.families import Budget, is_member, members, validate_member
 
 from helpers import mixed_energy, small_energies, strict_energy
 
@@ -137,3 +141,104 @@ def test_refinement_ground_part_count():
 def test_roundtrips_every_small_energy():
     for colors, energy in small_energies(max_colors=2):
         _roundtrip_families(colors, energy, 7, 5)
+
+
+# ---------------------------------------------------------------------------
+# properties on random energies past the exhaustive catalog (at most three
+# colors): minimal ground-compatible energies on four and five colors
+
+
+@st.composite
+def minimal_energies(draw):
+    n = draw(st.integers(4, 5))
+    m = n - 1
+    delta = draw(st.integers(0, 1))
+    bits = draw(st.lists(st.integers(0, 1), min_size=m * m, max_size=m * m))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(m):
+        rows[i][:m] = bits[i * m : (i + 1) * m]
+        rows[i][m] = 1 - delta
+        rows[m][i] = delta
+    colors = ColorSystem(tuple("abcd"[:m]) + ("g",), m)
+    return colors, EnergyMatrix(tuple(map(tuple, rows)))
+
+
+@st.composite
+def flat_members(draw):
+    """A flat member is fixed by its color sequence; the last colored part
+    is non-ground, since a ground part there would be a second zero part."""
+    colors, energy = draw(minimal_energies())
+    seq = draw(st.lists(st.integers(0, colors.n - 1), max_size=10))
+    if seq:
+        seq.append(draw(st.sampled_from(colors.non_ground)))
+    full = tuple(seq) + (colors.ground,)
+    pi = tuple(map(Primary, flat_sizes(full, energy, colors), full))
+    return colors, energy, pi
+
+
+@st.composite
+def regular_members(draw):
+    """A regular member is its word's skeleton plus a weakly decreasing
+    non-negative residual."""
+    colors, energy = draw(minimal_energies())
+    word = draw(st.lists(st.sampled_from(colors.non_ground), max_size=8))
+    residual = sorted(draw(st.lists(st.integers(0, 6), min_size=len(word),
+                                    max_size=len(word))), reverse=True)
+    skeleton = flat_sizes(tuple(word) + (colors.ground,), energy, colors)
+    body = tuple(Primary(s + r, c) for s, r, c in zip(skeleton, residual, word))
+    return colors, energy, body + (Primary(0, colors.ground),)
+
+
+@given(flat_members())
+@settings(max_examples=200, deadline=None)
+def test_omega_roundtrip_random_energies(case):
+    colors, energy, pi = case
+    validate_member("F1", pi, energy, colors)
+    image = omega(pi, energy, colors)
+    validate_member("R1", image, energy, colors)
+    assert partition_size(image, energy) == partition_size(pi, energy)
+    assert color_word(image, colors) == color_word(pi, colors)
+    assert omega_inv(image, energy, colors) == pi
+
+
+@given(regular_members())
+@settings(max_examples=200, deadline=None)
+def test_omega_inv_roundtrip_random_energies(case):
+    colors, energy, pi = case
+    validate_member("R1", pi, energy, colors)
+    pre = omega_inv(pi, energy, colors)
+    validate_member("F1", pre, energy, colors)
+    assert partition_size(pre, energy) == partition_size(pi, energy)
+    assert color_word(pre, colors) == color_word(pi, colors)
+    assert omega(pre, energy, colors) == pi
+
+
+def _rejects(check, *args):
+    try:
+        check(*args)
+    except InvalidPartitionError:
+        return True
+    return False
+
+
+@given(st.one_of(flat_members(), regular_members()), st.data())
+@settings(max_examples=300, deadline=None)
+def test_maps_reject_exactly_the_non_members(case, data):
+    colors, energy, pi = case
+    g = colors.ground
+    k = data.draw(st.integers(0, len(pi) - 1))
+    size, color = pi[k]
+    kind = data.draw(st.sampled_from(("bump", "ground", "drop", "no terminal", "extra zero")))
+    if kind == "bump":
+        bad = pi[:k] + (Primary(size + data.draw(st.sampled_from((-1, 1))), color),) + pi[k + 1:]
+    elif kind == "ground":
+        bad = pi[:k] + (Primary(size, g),) + pi[k + 1:]
+    elif kind == "drop":
+        bad = pi[:k] + pi[k + 1:]
+    elif kind == "no terminal":
+        bad = pi[:-1]
+    else:
+        bad = pi[:-1] + (Primary(0, g),) + pi[-1:]
+    assert _rejects(omega, bad, energy, colors) == _rejects(validate_member, "F1", bad, energy, colors)
+    assert _rejects(omega_inv, bad, energy, colors) == _rejects(
+        validate_member, "R1", bad, energy, colors)

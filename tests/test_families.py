@@ -11,6 +11,7 @@ from partition_forge.core import (
     color_word,
     parse_partition,
     partition_size,
+    secondary_regular_rel,
 )
 from partition_forge.families import (
     Budget,
@@ -196,3 +197,89 @@ def test_flat_parity_checks_survive_optimisation():
         _f2_members(odd_ground, colors, Budget(3, 3))
     with pytest.raises(UsageError, match="does not fit a degree-2 part"):
         _fk_members(odd_ground, colors, Budget(3, 3), 2)
+
+
+def _r2_brute_force(energy, colors, budget, halves):
+    """R2 by filtering: every sequence of secondary parts with halves in
+    ``halves``, judged by the budget and ``validate_member``.
+
+    A sequence with two consecutive unrelated parts is no member, so
+    sequences grow only through related parts.
+    """
+    g = colors.ground
+    term = Secondary(0, g, g)
+    parts = [Secondary(h, d, dp) for d in range(colors.n) for dp in range(colors.n)
+             if (d, dp) != (g, g) for h in halves]
+    found, level = [], [()]
+    for length in range(budget.max_parts + 1):
+        for seq in level:
+            pi = seq + (term,)
+            if (partition_size(pi, energy) <= budget.max_size
+                    and is_member("R2", pi, energy, colors)):
+                found.append(pi)
+        if length < budget.max_parts:
+            level = [seq + (p,) for seq in level for p in parts
+                     if not seq or secondary_regular_rel(seq[-1], p, energy, colors)]
+    return sorted(found, key=lambda pi: canonical_key(pi, energy))
+
+
+def test_r2_walk_equals_brute_force():
+    halves = range(-2, 4)
+    cases = [(colors, energy, 5) for colors, energy in small_energies()[::4]]
+    cases += [(colors, energy, 6) for colors, energy in (mixed_energy(), strict_energy())]
+    for colors, energy, size in cases:
+        expected = _r2_brute_force(energy, colors, Budget(size, 3), halves)
+        assert members("R2", energy, colors, Budget(size, 3)) == expected, energy
+        if colors.n < 3:
+            continue
+        # word-filtered budgets select from the same candidates
+        for text in ("", "a", "b", "ab", "ba", "abb", "bab"):
+            word = w(colors, text)
+            for n in range(size + 1):
+                assert members("R2", energy, colors, Budget(n, 3, word)) == [
+                    pi for pi in expected
+                    if partition_size(pi, energy) <= n and color_word(pi, colors) == word
+                ], (energy, word, n)
+
+
+def test_r2_walk_equals_brute_force_with_negative_energies():
+    # a negative entry lets halves rise and sizes go negative, so the walk
+    # must prune by the least charge of the parts still to come; the halves
+    # found lie strictly inside the range searched
+    from partition_forge.core import ColorSystem, EnergyMatrix
+
+    colors = ColorSystem(("a", "b", "g"), 2)
+    for rows, budget, halves in [
+        (((0, -1, 1), (0, 0, 1), (0, 0, 0)), Budget(3, 3), range(-3, 5)),
+        (((-1, 0, 0), (0, 0, 0), (1, 1, 0)), Budget(3, 2), range(-5, 6)),
+    ]:
+        energy = EnergyMatrix(rows)
+        found = members("R2", energy, colors, budget)
+        assert found == _r2_brute_force(energy, colors, budget, halves), rows
+        assert min(p.half for pi in found for p in pi) > halves[0]
+        assert max(p.half for pi in found for p in pi) < halves[-1]
+
+
+def test_r2_count_equals_e_plus_on_a_wide_budget():
+    # rmap is a bijection E+ -> R2; a walk that pruned only loosely could not
+    # reach this budget
+    from partition_forge.core import ColorSystem, EnergyMatrix
+
+    colors = ColorSystem(("a", "b", "g"), 2)
+    energy = EnergyMatrix(((0, 0, 0), (0, 0, 0), (1, 1, 0)))
+    budget = Budget(5, 6)
+    assert len(members("R2", energy, colors, budget)) == 83837
+    assert len(members("E+", energy, colors, budget)) == 83837
+
+
+def test_flat_walk_stall_raises_usage_error():
+    # delta_g = 1 and eps(a, a) = 0: zero-size a parts repeat without end
+    from partition_forge.families import flat_walk
+
+    colors, energy = [
+        (c, e) for c, e in small_energies(max_colors=2) if e.e(c.ground, 0) == 1 and e.e(0, 0) == 0
+    ][0]
+    with pytest.raises(UsageError, match="stalled on zero-cost parts"):
+        flat_walk(range(colors.n), colors.ground, energy.e, Budget(0, 50), stall_limit=3)
+    assert len(flat_walk(range(colors.n), colors.ground, energy.e, Budget(0, 3),
+                         stall_limit=3)) == 4
