@@ -177,25 +177,51 @@ def _cmd_verify(args):
     return 0 if report["pass"] else 1
 
 
-def _cmd_series(args):
-    spec = args.factors
-    if spec.startswith("@"):
-        with open(spec[1:], encoding="utf-8") as handle:
-            spec = handle.read()
-    data = json.loads(spec)
-    names = args.colors.split(",") if args.colors else []
-    names = [n for n in names if n]
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse_factors(data, nvars):
+    """ProductFactors from the decoded --factors JSON, rejecting anything else."""
+    if not isinstance(data, list):
+        raise UsageError("--factors must be a JSON list of factor objects")
     factors = []
     for item in data:
+        if not isinstance(item, dict):
+            raise UsageError("factor %r is not a JSON object" % (item,))
+        unknown = sorted(set(item) - {"sign", "exps", "offset", "modulus", "reciprocal"})
+        if unknown:
+            raise UsageError("unknown factor key %r" % (unknown[0],))
+        if "offset" not in item:
+            raise UsageError("factor %r has no offset" % (item,))
+        for key in ("sign", "offset", "modulus"):
+            if not _is_int(item.get(key, 1)):
+                raise UsageError("factor %s must be an integer, got %r" % (key, item[key]))
+        exps = item.get("exps", [0] * nvars)
+        if not isinstance(exps, list) or not all(_is_int(e) for e in exps):
+            raise UsageError("factor exps must be a list of integers, got %r" % (exps,))
+        if not isinstance(item.get("reciprocal", False), bool):
+            raise UsageError("factor reciprocal must be true or false")
         factors.append(
             series.ProductFactor(
                 item.get("sign", 1),
-                tuple(item.get("exps", [0] * len(names))),
+                tuple(exps),
                 item["offset"],
                 item.get("modulus", 1),
                 item.get("reciprocal", False),
             )
         )
+    return factors
+
+
+def _cmd_series(args):
+    spec = args.factors
+    if spec.startswith("@"):
+        with open(spec[1:], encoding="utf-8") as handle:
+            spec = handle.read()
+    names = args.colors.split(",") if args.colors else []
+    names = [n for n in names if n]
+    factors = _parse_factors(json.loads(spec), len(names))
     out = series.pochhammer_expand(factors, args.order, len(names))
     if args.json:
         print(json.dumps(out.to_json(names), indent=2))

@@ -58,6 +58,15 @@ class ColorSystem:
             "_non_ground",
             tuple(c for c in range(len(self.names)) if c != self.ground),
         )
+        # ground_delta's cache is looked up per map call and per part pair
+        object.__setattr__(self, "_hash", hash((self.names, self.ground)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: a copy hashes afresh
+        return (ColorSystem, (self.names, self.ground))
 
     @property
     def n(self):

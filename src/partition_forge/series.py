@@ -7,6 +7,16 @@ a substitution is in flight, but stored q-degrees are always in [0, order].
 This module is also the boundary where color words stop being words:
 ``gf_from_partitions`` is handed a weight map and from then on the colors
 commute.
+
+``pochhammer_expand`` does not build a series per factor.  It keeps the
+running product as rows by q-degree, and keys each row by one packed int per
+exponent vector: the exponents are signed base-2^b digits, with b sized from
+the factors so that no digit can overflow, so multiplying by a monomial is
+one int addition.  Each ladder step updates the rows in place: a binomial
+``(1 + sign m q^a)`` is a shift-and-add, a geometric ``1 / (1 - m q^a)`` a
+running recurrence (``sign`` is ignored on reciprocal factors).  The keys
+are unpacked to exponent tuples once, at the end.  ``TruncatedSeries.__mul__``
+stays the independent route the tests compare it with.
 """
 
 from __future__ import annotations
@@ -168,8 +178,8 @@ class ProductFactor(NamedTuple):
 
     Numerator factors multiply in ``(1 + sign * m * q^(offset + j*modulus))``
     for j >= 0; with ``reciprocal`` set the factor is the expanded geometric
-    inverse ``1 / (m q^offset; q^modulus)``, which requires offset >= 1 so the
-    expansion terminates at any finite order.
+    inverse ``1 / (m q^offset; q^modulus)``, which ignores ``sign`` and
+    requires offset >= 1 so the expansion terminates at any finite order.
     """
 
     sign: int
@@ -179,44 +189,101 @@ class ProductFactor(NamedTuple):
     reciprocal: bool = False
 
 
-def _factor_series(factor, order, nvars):
+def _ladder(factor, order):
+    """The q-exponents offset, offset + modulus, ... that stay within order."""
+    return range(factor.offset, order + 1, factor.modulus)
+
+
+def _check_factor(factor, nvars):
     if factor.modulus < 1:
         raise UsageError("factor modulus must be >= 1")
-    exps = tuple(factor.exps)
-    if len(exps) != nvars:
+    if len(tuple(factor.exps)) != nvars:
         raise UsageError("factor monomial has wrong dimension")
-    out = TruncatedSeries.one(order, nvars)
     if factor.reciprocal:
         if factor.offset < 1:
             raise UsageError("reciprocal factor needs offset >= 1 to terminate")
-        a = factor.offset
-        while a <= order:
-            geo = TruncatedSeries(
-                order,
-                nvars,
-                {(a * j, tuple(e * j for e in exps)): 1 for j in range(order // a + 1)},
-            )
-            out = out * geo
-            a += factor.modulus
-        return out
+        return
     if factor.offset < 0:
         raise UsageError("factor offset must be non-negative")
     if factor.sign not in (1, -1):
         raise UsageError("factor sign must be +1 or -1")
-    a = factor.offset
-    while a <= order:
-        out = out * TruncatedSeries(
-            order, nvars, {(0, (0,) * nvars): 1, (a, exps): factor.sign}
-        )
-        a += factor.modulus
-    return out
+
+
+def _digit_bits(factors, order, nvars):
+    """Bits per packed exponent digit that no reachable exponent overflows.
+
+    A binomial step adds its monomial at most once, a geometric step at
+    q^a at most order // a times; one more bit holds the sign.
+    """
+    bound = [0] * nvars
+    for f in factors:
+        ladder = _ladder(f, order)
+        uses = sum(order // a for a in ladder) if f.reciprocal else len(ladder)
+        for i, e in enumerate(f.exps):
+            bound[i] += uses * abs(e)
+    return max(bound, default=0).bit_length() + 1
+
+
+def _shift_add(rows, src, dst, m, s):
+    """rows[dst] += s * x^m * rows[src], for distinct rows on packed keys."""
+    into = rows[dst]
+    if not into:
+        rows[dst] = {k + m: s * v for k, v in rows[src].items()}
+        return
+    get = into.get
+    for k, v in rows[src].items():
+        k += m
+        into[k] = get(k, 0) + s * v
 
 
 def pochhammer_expand(factors, order, nvars):
-    """Exact expansion of a product of Pochhammer ladders to the given order."""
-    out = TruncatedSeries.one(order, nvars)
+    """Exact expansion of a product of Pochhammer ladders to the given order.
+
+    ``rows[d]`` maps packed exponent keys to the coefficients of q^d.  A
+    binomial step ``(1 + s m q^a)`` adds ``s m q^a`` times each row, degrees
+    descending so that a row is read before it is written (at a = 0 it reads
+    a snapshot); a geometric step ``1 / (1 - m q^a)`` adds ``m q^a`` times
+    the already updated row a degrees lower, degrees ascending.
+    """
+    if order < 0:
+        raise UsageError("truncation order must be non-negative")
     for factor in factors:
-        out = out * _factor_series(factor, order, nvars)
+        _check_factor(factor, nvars)
+    bits = _digit_bits(factors, order, nvars)
+    shifts = [bits * i for i in range(nvars)]
+
+    rows = [{0: 1}]
+    for factor in factors:
+        m = sum(e << shift for e, shift in zip(factor.exps, shifts))
+        s = factor.sign
+        for a in _ladder(factor, order):
+            if factor.reciprocal:
+                rows += [{} for _ in range(len(rows), order + 1)]
+                for d in range(a, order + 1):
+                    _shift_add(rows, d - a, d, m, 1)
+            elif a == 0:
+                for row in rows:
+                    for k, v in list(row.items()):
+                        k += m
+                        row[k] = row.get(k, 0) + s * v
+            else:
+                top = min(len(rows) - 1 + a, order)
+                rows += [{} for _ in range(len(rows), top + 1)]
+                for d in range(top - a, -1, -1):
+                    _shift_add(rows, d, d + a, m, s)
+
+    # biased by half a digit, every digit of a key is non-negative
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    bias = sum(half << shift for shift in shifts)
+    keys = list(set().union(*rows))
+    biased = [k + bias for k in keys]
+    columns = [[(k >> shift & mask) - half for k in biased] for shift in shifts]
+    exps_of = dict(zip(keys, zip(*columns))) if nvars else {0: ()}
+    out = TruncatedSeries(order, nvars)
+    out.coeffs = {
+        (d, exps_of[k]): v for d, row in enumerate(rows) for k, v in row.items() if v
+    }
     return out
 
 

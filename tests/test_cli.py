@@ -124,6 +124,34 @@ def test_series_verb(capsys):
     assert out.strip() == "1 + 1*q^1 + 1*q^3 + 1*q^4 + 1*q^5"
 
 
+@pytest.mark.parametrize("sign,want", ((-1, "0"), (1, "2 + 2*q^1 + 2*q^2 + 4*q^3")))
+def test_series_offset_zero_unit_step(capsys, sign, want):
+    spec = json.dumps([{"offset": 0, "sign": sign}])
+    assert run(capsys, "series", "--factors", spec, "--order", "3") == (0, want + "\n", "")
+
+
+@pytest.mark.parametrize("spec,message", (
+    ('[{"sign":1}]', "has no offset"),
+    ('{"offset":1}', "must be a JSON list"),
+    ('[1]', "is not a JSON object"),
+    ('[{"offset":"x"}]', "offset must be an integer"),
+    ('[{"offset":1,"modulus":1.5}]', "modulus must be an integer"),
+    ('[{"offset":true}]', "offset must be an integer"),
+    ('[{"offset":1,"sign":2}]', "sign must be +1 or -1"),
+    ('[{"offset":1,"exps":[1]}]', "wrong dimension"),
+    ('[{"offset":1,"exps":"a"}]', "exps must be a list of integers"),
+    ('[{"offset":1,"reciprocal":1}]', "reciprocal must be true or false"),
+    ('[{"offset":0,"reciprocal":true}]', "needs offset >= 1"),
+    ('[{"offest":1}]', "unknown factor key"),
+    ('[{"offset":1', "Expecting"),
+))
+def test_series_malformed_factors_exit_2(capsys, spec, message):
+    code, out, err = run(capsys, "series", "--factors", spec, "--order", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_malformed_partition_exits_2(capsys, energies):
     mixed, _ = energies
     code, out, err = run(capsys, "omega", "--energy", mixed, "--in", "5a 1b 0c")

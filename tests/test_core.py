@@ -1,6 +1,12 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import partition_forge
 from partition_forge.core import (
     _label_splits,
     ColorSystem,
@@ -89,6 +95,29 @@ def test_validate_energy_dimension_mismatch():
     colors = ColorSystem(("a", "g"), 1)
     with pytest.raises(EnergyStructureError):
         validate_energy(EnergyMatrix(((0,),)), colors)
+
+
+def test_color_system_hash_is_cached():
+    colors = ColorSystem(("a", "b", "g"), 2)
+    again = ColorSystem(["a", "b", "g"], 2)
+    assert colors == again and hash(colors) == hash(again)
+    assert hash(colors) == hash((colors.names, colors.ground))
+    assert ColorSystem(("a", "b", "g"), 1) != colors
+
+
+def test_color_system_unpickled_elsewhere_hashes_afresh():
+    # string hashes are salted per process, so a cached hash must not travel
+    code = (
+        "import pickle, sys\n"
+        "from partition_forge.core import ColorSystem\n"
+        "got = pickle.loads(sys.stdin.buffer.read())\n"
+        "print({ColorSystem(('a', 'b', 'g'), 2): 'found'}.get(got))\n"
+    )
+    env = dict(os.environ, PYTHONHASHSEED="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(partition_forge.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          input=pickle.dumps(ColorSystem(("a", "b", "g"), 2)), timeout=60)
+    assert done.stdout == b"found\n", done.stderr
 
 
 def test_flat_relation_examples():

@@ -1,7 +1,10 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from partition_forge import classic
+from partition_forge.characters import build_config
 from partition_forge.core import ColorSystem, EnergyMatrix, SizeTransform, UsageError
 from partition_forge.families import Budget, members
 from partition_forge.series import (
@@ -132,6 +135,103 @@ def test_reciprocal_needs_positive_offset():
         pochhammer_expand((ProductFactor(1, (), 0, 2, reciprocal=True),), 4, 0)
     with pytest.raises(UsageError):
         pochhammer_expand((ProductFactor(1, (), 1, 0),), 4, 0)
+
+
+def reference_product(factors, order, nvars):
+    """The product multiplied out step by step with TruncatedSeries.__mul__."""
+    one = TruncatedSeries.one(order, nvars)
+    out = one
+    for f in factors:
+        a = f.offset
+        while a <= order:
+            if f.reciprocal:
+                step = TruncatedSeries(order, nvars, {
+                    (a * j, tuple(e * j for e in f.exps)): 1 for j in range(order // a + 1)
+                })
+            else:
+                step = one + TruncatedSeries.monomial(f.sign, a, f.exps, order, nvars)
+            out = out * step
+            a += f.modulus
+    return out
+
+
+@pytest.mark.parametrize("nvars", (0, 2))
+def test_offset_zero_step_with_unit_monomial(nvars):
+    zeros = (0,) * nvars
+    plus = pochhammer_expand((ProductFactor(1, zeros, 0, 1),), 3, nvars)
+    assert [plus.coeff(d) for d in range(4)] == [2, 2, 2, 4]
+    assert len(plus.coeffs) == 4
+    minus = pochhammer_expand((ProductFactor(-1, zeros, 0, 1),), 3, nvars)
+    assert minus == TruncatedSeries.zero(3, nvars)
+
+
+def test_empty_product_ignores_the_order():
+    assert pochhammer_expand((), 10**9, 0).coeffs == {(0, ()): 1}
+
+
+def test_factor_checks_keep_their_order_and_messages():
+    cases = (
+        ((ProductFactor(1, (), 1, 1),), -1, 0, "truncation order must be non-negative"),
+        ((ProductFactor(1, (1,), 1, 0),), 4, 0, "factor modulus must be >= 1"),
+        ((ProductFactor(1, (1,), 1, 1),), 4, 0, "factor monomial has wrong dimension"),
+        ((ProductFactor(5, (), 0, 1, True),), 4, 0, "reciprocal factor needs offset >= 1"),
+        ((ProductFactor(5, (), -1, 1),), 4, 0, "factor offset must be non-negative"),
+        ((ProductFactor(1, (), 1, 1), ProductFactor(0, (), 1, 1)), 4, 0,
+         "factor sign must be +1 or -1"),
+    )
+    for factors, order, nvars, message in cases:
+        with pytest.raises(UsageError, match=re.escape(message)):
+            pochhammer_expand(factors, order, nvars)
+
+
+def test_reciprocal_ignores_its_sign():
+    factors = (ProductFactor(1, (1, -2), 1, 2, reciprocal=True),)
+    assert pochhammer_expand(factors, 9, 2) == pochhammer_expand(
+        (factors[0]._replace(sign=-7),), 9, 2
+    )
+
+
+product_factors = st.integers(0, 3).flatmap(lambda nvars: st.tuples(
+    st.just(nvars),
+    st.integers(0, 12),
+    st.lists(
+        st.builds(
+            lambda sign, exps, offset, modulus, reciprocal: ProductFactor(
+                sign, exps, max(offset, reciprocal), modulus, reciprocal
+            ),
+            st.sampled_from((1, -1)),
+            st.tuples(*[st.integers(-2, 2)] * nvars),
+            st.integers(0, 4),
+            st.integers(1, 3),
+            st.booleans(),
+        ),
+        max_size=4,
+    ),
+))
+
+
+@given(product_factors)
+@settings(max_examples=150, deadline=None)
+def test_expansion_matches_the_reference_product(case):
+    nvars, order, factors = case
+    assert pochhammer_expand(factors, order, nvars) == reference_product(
+        factors, order, nvars
+    )
+
+
+@pytest.mark.parametrize("family,ranks,order", (
+    ("A2n2", (2, 3, 4), 12),
+    ("Dn12-L0", (2, 3, 4), 12),
+    ("Dn12-Ln", (2, 3, 4), 12),
+    ("Bn1-Ln", (3, 4), 8),  # the reference route takes seconds at rank 4 past order 8
+))
+def test_character_products_match_the_reference_product(family, ranks, order):
+    for rank in ranks:
+        config = build_config(family, rank)
+        nvars = len(config.colors.non_ground)
+        assert pochhammer_expand(config.rhs_factors, order, nvars) == reference_product(
+            config.rhs_factors, order, nvars
+        )
 
 
 def test_dimension_mismatch_rejected():
