@@ -26,7 +26,7 @@ from .core import (
     validate_energy,
 )
 from .families import Budget, count_by_word, is_member, members, validate_member
-from .deg1 import conjugate, decompose, omega, omega_inv, recompose
+from .deg1 import decompose, omega, omega_inv, recompose
 from .deg2 import (
     add_ground,
     flatreg2_table,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import classic
 from .core import ColorSystem, EnergyMatrix, SizeTransform, UsageError
-from .families import Budget, _f1_members, members
+from .families import Budget, flat_walk, walk_members
 from .series import (
     ProductFactor,
     gf_from_partitions,
@@ -189,12 +189,10 @@ def character_lhs(config, order, route="direct"):
     """
     budget, stall = _character_budget(config.colors, order)
     if route == "direct":
-        flats = _f1_members(config.energy_prime, config.colors, budget, stall_limit=stall)
+        flats = flat_walk(config.energy_prime, config.colors, budget, stall_limit=stall)
         weight, nvars = partition_weight(config.colors, config.energy_prime)
     elif route == "transform":
-        flats = _f1_members(
-            config.energy, config.colors, budget, transform=config.transform
-        )
+        flats = flat_walk(config.energy, config.colors, budget, transform=config.transform)
         weight, nvars = partition_weight(
             config.colors, config.energy, transform=config.transform
         )
@@ -278,7 +276,7 @@ def siladic_setup():
 def _transformed_counts(tag, energy, colors, transform, order, degree=None):
     """Members bucketed by transformed total size (color variables dropped)."""
     budget = Budget(order, order + 1)
-    found = members(tag, energy, colors, budget, degree=degree, transform=transform)
+    found = walk_members(tag, energy, colors, budget, degree=degree, transform=transform)
     out = [0] * (order + 1)
     for pi in found:
         out[transform.partition_degree(pi, energy)] += 1
@@ -292,7 +290,7 @@ def _transformed_vectors(tag, energy, colors, transform, order):
     color with index i standing for residue class i.
     """
     budget = Budget(order, order + 1)
-    found = members(tag, energy, colors, budget, transform=transform)
+    found = walk_members(tag, energy, colors, budget, transform=transform)
     out = Counter()
     for pi in found:
         degree = transform.partition_degree(pi, energy)

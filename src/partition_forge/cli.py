@@ -214,7 +214,14 @@ def _parse_factors(data, nvars):
     return factors
 
 
+# each ladder step of a product touches every row, so the cost grows at
+# least with the square of the order
+MAX_SERIES_ORDER = 1000
+
+
 def _cmd_series(args):
+    if args.order > MAX_SERIES_ORDER:
+        raise UsageError("--order must be at most %d, got %d" % (MAX_SERIES_ORDER, args.order))
     spec = args.factors
     if spec.startswith("@"):
         with open(spec[1:], encoding="utf-8") as handle:

@@ -24,25 +24,6 @@ from bisect import bisect_left
 from .core import InvalidPartitionError, Primary, UsageError, ground_delta
 
 
-def conjugate(lam):
-    """Conjugate (Young-diagram transpose) of a classical partition."""
-    lam = tuple(lam)
-    for a, b in zip(lam, lam[1:]):
-        if a < b:
-            raise UsageError("classical partition must be weakly decreasing")
-    if not lam:
-        return ()
-    if lam[-1] <= 0:
-        raise UsageError("classical partition parts must be positive")
-    cols = []
-    j = len(lam)
-    for i in range(lam[0]):
-        while lam[j - 1] <= i:
-            j -= 1
-        cols.append(j)
-    return tuple(cols)
-
-
 def _extract(pi, energy, colors, flat):
     """Size and color lists of a flat (or regular) grounded partition."""
     kind = "flat" if flat else "regular"

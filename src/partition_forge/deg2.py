@@ -20,7 +20,7 @@ from .core import (
     secondary_size,
     upper_half,
 )
-from .families import Budget, members, validate_member
+from .families import Budget, validate_member, walk_members
 
 
 def split_flat2(pi, energy, colors):
@@ -143,7 +143,7 @@ def flatreg2_table(energy, colors, word, max_size):
     labels = [label for label, _ in FLATREG2_FAMILIES]
     counts = [dict.fromkeys(labels, 0) for _ in range(max_size + 1)]
     for label, tag in FLATREG2_FAMILIES:
-        for pi in members(tag, energy, colors, budget):
+        for pi in walk_members(tag, energy, colors, budget):
             counts[partition_size(pi, energy)][label] += 1
     return [
         {"word": word, "n": n, "counts": row, "all_equal": len(set(row.values())) == 1}

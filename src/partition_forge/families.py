@@ -12,9 +12,11 @@ yields ``(part, next_state, keep)`` for every admissible next part, where
 ``keep`` says whether the path ending in that part is emitted.  There are
 three rules:
 
-- flat (F1, F2, Fk and both character routes): a flat partition is
-  determined by its full color sequence, so the walk runs right to left,
-  prepending symbols whose sizes are forced;
+- flat (F1, F2, Fk and both character routes): one rule for every degree
+  k.  A flat partition is a grounded sequence of k-letter color words
+  whose sizes the energy forces, so ``flat_walk`` runs right to left,
+  prepending words and building each part as it is reached: primary parts
+  at k = 1, secondary parts for F2, degree-k parts for Fk;
 - half line (O+, O-, E+, E- and the body of R1): non-ground parts on one
   side of rho = 1 - delta_g, walked left to right over the admissible next
   sizes with remaining-size pruning.  O is E's primary branch with a gap of
@@ -33,12 +35,13 @@ three rules:
   transform's shifts can make charges negative.  On the catalog and
   shipped energies the walk generates one child per member.
 
-Each walk visits a member once, so no deduplication is needed.  ``members``
-returns the canonical order of ``canonical_key``: by length, then the part
-sizes, then the color sequence, then the partition tuple itself.  The last
-component breaks the ties, which occur only in E+ and E-, where primary and
-secondary parts can group the same colors differently (``5a 2ba`` and
-``5ab 2a`` on the strict energy).
+Each walk visits a member once, so no deduplication is needed.
+``walk_members`` returns the members in walk order, for callers that only
+count them.  ``members`` returns the canonical order of ``canonical_key``:
+by length, then the part sizes, then the color sequence, then the
+partition tuple itself.  The last component breaks the ties, which occur
+only in E+ and E-, where primary and secondary parts can group the same
+colors differently (``5a 2ba`` and ``5ab 2a`` on the strict energy).
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from .core import (
     Secondary,
     UsageError,
     delta_exception,
-    epsilon2,
     flat_rel,
     ground_delta,
     min_diff_rel,
@@ -63,7 +65,7 @@ from .core import (
     partition_size,
     secondary_regular_rel,
 )
-from .degk import epsilon_k, validate_flat_k
+from .degk import validate_flat_k
 
 F1, R1, F2, R2 = "F1", "R1", "F2", "R2"
 O_PLUS, O_MINUS, E_PLUS, E_MINUS = "O+", "O-", "E+", "E-"
@@ -92,10 +94,6 @@ def canonical_key(pi, energy):
     sizes = tuple(part_size(p, energy) for p in pi)
     cols = tuple(c for p in pi for c in part_color_seq(p))
     return (len(pi), sizes, cols, pi)
-
-
-def _sorted_members(members, energy):
-    return sorted(members, key=lambda pi: canonical_key(pi, energy))
 
 
 def _walk(children, root, budget):
@@ -129,112 +127,88 @@ def _walk(children, root, budget):
 # flat rule (F1, F2, Fk and the character enumerations)
 
 
-def flat_walk(all_syms, ground_sym, eps, budget, cost=None, letters=None, stall_limit=None):
-    """All flat grounded sequences under a budget.
+def flat_walk(energy, colors, budget, degree=1, make=Primary, transform=None, stall_limit=None):
+    """Every flat grounded partition of degree-k parts under a budget, unsorted.
 
-    Returns tuples of (size, sym) read left to right, excluding the terminal
-    ground part.  ``eps(x, y)`` is the energy between symbols, ``cost(size,
-    sym)`` the budget charge of one part (the size itself by default), and
-    ``letters(sym)`` the non-ground word letters the symbol contributes.
-    ``stall_limit`` bounds runs of zero-cost parts and raises ``UsageError``
-    when exceeded, for walks whose termination relies on the cost rather
-    than the length cap.
+    A part is a word w of k colors with a size.  The energy between words
+    x and y is ``head(x) + k*eps(x_k, y_1) + tail(y)``, where head(w) sums
+    u*eps(w_u, w_u+1) and tail(w) sums (k-u)*eps(w_u, w_u+1), so a part's
+    size is forced by the part to its right.  The part is built once, when
+    the walk reaches it, as ``make(base, *w)`` (``make(base, w)`` for
+    ``DegreeK``) with base ``(size - head(w)) / k``: ``Primary`` at degree
+    one, ``Secondary`` at degree two.  It is charged its size, or under a
+    ``transform`` the scale times its size plus the shifts of its word.
+    ``stall_limit`` bounds runs of zero-charge parts and raises
+    ``UsageError`` when exceeded, for walks whose termination relies on the
+    charge rather than the length cap.
     """
+    k, n, g = degree, colors.n, colors.ground
+    e = energy.values
     word = budget.word
     wlen = len(word) if word is not None else 0
-    if cost is None:
-        cost = lambda size, sym: size
-    if letters is None:
-        letters = lambda sym: (sym,) if sym != ground_sym else ()
     max_size = budget.max_size
+    sc, sh = (transform.scale, transform.shifts) if transform else (1, (0,) * n)
+    spread = (lambda w: (w,)) if make is DegreeK else tuple
+    ground = (g,) * k
+    below = e[g][g] * k * (k - 1) // 2  # the terminal's size (zero) plus its tail
+    # head(w) + tail(w) is k times the energy inside w, so every base is
+    # integral when the terminal's is
+    if below % k:
+        raise UsageError("eps(ground, ground) = %d: a size does not fit a degree-%d part "
+                         "(wrong parity); energy unsuitable for flat enumeration" % (e[g][g], k))
+    # every word in product order, grown one color at a time, with its head
+    # and the energy inside it
+    table = [((c,), 0, 0) for c in range(n)]
+    for u in range(1, k):
+        table = [(w + (c,), head + u * e[w[-1]][c], inside + e[w[-1]][c])
+                 for w, head, inside in table for c in range(n)]
+    # per word: its head, tail, charge shift, word letters, the fields of
+    # its part after the base, and its first and last colors
+    words = [(head, k * inside - head, sum(map(sh.__getitem__, w)), tuple(filter(g.__ne__, w)),
+              spread(w), w[0], w[-1]) for w, head, inside in table]
+    rows = [None] * n
+
+    def build(d):
+        # the words above a part whose word starts with d, each led by what
+        # it adds to that part's size plus tail
+        rows[d] = [(head + k * e[last][d], head, tail, shift, letters, fields, w0)
+                   for head, tail, shift, letters, fields, w0, last in words]
+        return rows[d]
+
+    # the root's row, last: a zero-size ground word would duplicate the terminal
+    rows.append(list(build(g)))
+    i = g * sum(n ** j for j in range(k))  # the ground word's place
+    if rows[g][i][0] + below == 0:
+        del rows[-1][i]
 
     def children(state):
-        # the part to the right, the budget spent, the word letters consumed
-        # from the right, and the current run of zero-cost parts
-        (below_size, below_sym), total, consumed, zrun = state
-        first = below_sym is None
-        if first:
-            below_sym = ground_sym
-        for sym in all_syms:
-            size = eps(sym, below_sym) + below_size
-            if first and sym == ground_sym and size == 0:
-                continue  # would duplicate the terminal zero ground part
+        # the first color of the part to the right (-1 for the terminal),
+        # its size plus tail, the budget spent, the word letters consumed
+        # from the right, and the current run of zero-charge parts
+        d, below, total, consumed, zrun = state
+        row = rows[d]
+        for lift, head, tail, shift, letters, fields, w0 in row if row is not None else build(d):
+            size = lift + below
             if size < 0:
                 raise UsageError("negative part size; energy unsuitable for flat enumeration")
-            charge = cost(size, sym)
+            charge = sc * size + shift
             if charge < 0:
                 raise UsageError("negative transformed degree in flat enumeration")
             if total + charge > max_size:
                 continue
             ncons = consumed
-            if word is not None:
-                lab = letters(sym)
-                if lab:
-                    ncons += len(lab)
-                    if ncons > wlen or word[wlen - ncons : wlen - consumed] != lab:
-                        continue
+            if word is not None and letters:
+                ncons += len(letters)
+                if ncons > wlen or word[wlen - ncons : wlen - consumed] != letters:
+                    continue
             nz = zrun + 1 if charge == 0 else 0
             if stall_limit is not None and nz > stall_limit:
                 raise UsageError("flat walk stalled on zero-cost parts")
-            part = (size, sym)
-            yield part, (part, total + charge, ncons, nz), word is None or ncons == wlen
+            yield (make((size - head) // k, *fields), (w0, size + tail, total + charge, ncons, nz),
+                   word is None or ncons == wlen)
 
-    return [seq[::-1] for seq in _walk(children, ((0, None), 0, 0, 0), budget)]
-
-
-def _f1_members(energy, colors, budget, transform=None, stall_limit=None):
-    g = colors.ground
-    cost = None
-    if transform is not None:
-        sc, sh = transform.scale, transform.shifts
-        cost = lambda size, c: sc * size + sh[c]
-    seqs = flat_walk(range(colors.n), g, energy.e, budget, cost=cost, stall_limit=stall_limit)
-    out = []
-    for seq in seqs:
-        out.append(tuple(Primary(sz, c) for sz, c in seq) + (Primary(0, g),))
-    return out
-
-
-def _f2_members(energy, colors, budget, transform=None):
-    g = colors.ground
-    pairs = list(product(range(colors.n), repeat=2))
-    eps = lambda x, y: epsilon2(energy, x[0], x[1], y[0], y[1])
-    letters = lambda p: tuple(c for c in p if c != g)
-    cost = None
-    if transform is not None:
-        sc, sh = transform.scale, transform.shifts
-        cost = lambda size, p: sc * size + sh[p[0]] + sh[p[1]]
-    seqs = flat_walk(pairs, (g, g), eps, budget, cost=cost, letters=letters)
-    out = []
-    for seq in seqs:
-        parts = []
-        for size, (x, y) in seq:
-            e = energy.e(x, y)
-            if (size - e) % 2:
-                raise UsageError("secondary part size %d has the wrong parity; "
-                                 "energy unsuitable for flat enumeration" % size)
-            parts.append(Secondary((size - e) // 2, x, y))
-        out.append(tuple(parts) + (Secondary(0, g, g),))
-    return out
-
-
-def _fk_members(energy, colors, budget, k):
-    g = colors.ground
-    words = list(product(range(colors.n), repeat=k))
-    eps = lambda x, y: epsilon_k(energy, k, x, y)
-    letters = lambda w: tuple(c for c in w if c != g)
-    seqs = flat_walk(words, (g,) * k, eps, budget, letters=letters)
-    out = []
-    for seq in seqs:
-        parts = []
-        for size, cs in seq:
-            inner = sum(u * energy.e(cs[u - 1], cs[u]) for u in range(1, k))
-            if (size - inner) % k:
-                raise UsageError("size %d does not fit a degree-%d part; "
-                                 "energy unsuitable for flat enumeration" % (size, k))
-            parts.append(DegreeK((size - inner) // k, cs))
-        out.append(tuple(parts) + (DegreeK(0, (g,) * k),))
-    return out
+    term = (make(0, *spread(ground)),)
+    return [pi[::-1] + term for pi in _walk(children, (-1, below, 0, 0, 0), budget)]
 
 
 # ---------------------------------------------------------------------------
@@ -405,38 +379,42 @@ def _pareto_add(front, need, least):
 # public interface
 
 
-def members(tag, energy, colors, budget, degree=None, transform=None):
-    """Complete list of family members within a budget, in canonical order."""
+def walk_members(tag, energy, colors, budget, degree=None, transform=None):
+    """Complete list of family members within a budget, in walk order."""
     if tag in (F1, R1, F2, R2, FK):
         ground_delta(energy, colors)  # grounded families need ground compatibility
     if tag == F1:
-        out = _f1_members(energy, colors, budget, transform=transform)
-    elif tag == F2:
-        out = _f2_members(energy, colors, budget, transform=transform)
-    elif tag == FK:
+        return flat_walk(energy, colors, budget, transform=transform)
+    if tag == F2:
+        return flat_walk(energy, colors, budget, 2, Secondary, transform)
+    if tag == FK:
         if degree is None or degree < 1:
             raise UsageError("degree-k enumeration needs degree >= 1")
         if transform is not None:
             raise UsageError("transforms are not supported for degree-k enumeration")
-        out = _fk_members(energy, colors, budget, degree)
-    elif tag == R1:
+        return flat_walk(energy, colors, budget, degree, DegreeK)
+    if tag == R1:
         term = (Primary(0, colors.ground),)
-        out = [pi + term for pi in _half_line(energy, colors, budget, transform=transform)]
-    elif tag == R2:
-        out = _r2_members(energy, colors, budget, transform=transform)
-    elif tag in (O_PLUS, O_MINUS, E_PLUS, E_MINUS):
-        out = _half_line(energy, colors, budget, plus=tag in (O_PLUS, E_PLUS),
-                         secondary=tag in (E_PLUS, E_MINUS), transform=transform)
-    else:
-        raise UsageError("unknown family tag %r" % (tag,))
-    return _sorted_members(out, energy)
+        return [pi + term for pi in _half_line(energy, colors, budget, transform=transform)]
+    if tag == R2:
+        return _r2_members(energy, colors, budget, transform=transform)
+    if tag in (O_PLUS, O_MINUS, E_PLUS, E_MINUS):
+        return list(_half_line(energy, colors, budget, plus=tag in (O_PLUS, E_PLUS),
+                               secondary=tag in (E_PLUS, E_MINUS), transform=transform))
+    raise UsageError("unknown family tag %r" % (tag,))
+
+
+def members(tag, energy, colors, budget, degree=None, transform=None):
+    """Complete list of family members within a budget, in canonical order."""
+    found = walk_members(tag, energy, colors, budget, degree=degree, transform=transform)
+    return sorted(found, key=lambda pi: canonical_key(pi, energy))
 
 
 def count_by_word(tag, energy, colors, word, n, degree=None):
     """Number of family members with the given non-ground word and size n."""
     word = tuple(word)
     budget = Budget(max_size=n, max_parts=len(word) + n + 1, word=word)
-    found = members(tag, energy, colors, budget, degree=degree)
+    found = walk_members(tag, energy, colors, budget, degree=degree)
     return sum(1 for pi in found if partition_size(pi, energy) == n)
 
 

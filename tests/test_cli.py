@@ -144,9 +144,12 @@ def test_series_offset_zero_unit_step(capsys, sign, want):
     ('[{"offset":0,"reciprocal":true}]', "needs offset >= 1"),
     ('[{"offest":1}]', "unknown factor key"),
     ('[{"offset":1', "Expecting"),
+    pytest.param(('[{"offset":1}]', "--order", "1001"), "--order must be at most 1000",
+                 id="order-past-limit"),
 ))
 def test_series_malformed_factors_exit_2(capsys, spec, message):
-    code, out, err = run(capsys, "series", "--factors", spec, "--order", "3")
+    args = spec if isinstance(spec, tuple) else (spec, "--order", "3")
+    code, out, err = run(capsys, "series", "--factors", *args)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err

@@ -12,7 +12,7 @@ from partition_forge.core import (
     parse_partition,
     partition_size,
 )
-from partition_forge.deg1 import conjugate, decompose, omega, omega_inv, recompose
+from partition_forge.deg1 import decompose, omega, omega_inv, recompose
 from partition_forge.families import Budget, is_member, members, validate_member
 
 from helpers import mixed_energy, small_energies, strict_energy
@@ -52,21 +52,6 @@ def test_recompose_rejects_bad_residual():
         recompose((mu, (1, 1)), energy, colors)
     with pytest.raises(UsageError):
         recompose((mu, (-1,)), energy, colors)
-
-
-def test_conjugate():
-    assert conjugate((6, 5, 5, 4, 2, 2, 2, 1)) == (8, 7, 4, 4, 3, 1)
-    assert conjugate(()) == ()
-    assert conjugate((3, 1)) == (2, 1, 1)
-
-
-def test_conjugate_involution():
-    from partition_forge.classic import partitions_of
-
-    for n in range(13):
-        for lam in partitions_of(n):
-            assert conjugate(conjugate(lam)) == lam
-            assert sum(conjugate(lam)) == n
 
 
 def test_omega_worked_example():

@@ -97,7 +97,7 @@ def test_flatten_trivial():
 
 def test_roundtrips():
     colors, energy = strict_energy()
-    for k in (2, 3):
+    for k in (2, 3, 4):
         for pi in members("Fk", energy, colors, Budget(9, 8), degree=k):
             flat = flatten_k(pi, energy, colors, k)
             assert unflatten_k(flat, energy, colors, k) == pi
@@ -112,7 +112,7 @@ def test_counts_match_degree_one():
         (color_word(p, colors), partition_size(p, energy))
         for p in members("F1", energy, colors, Budget(9, 12))
     )
-    for k in (2, 3):
+    for k in (2, 3, 4):
         fk = Counter(
             (color_word(p, colors), partition_size(p, energy))
             for p in members("Fk", energy, colors, Budget(9, 12), degree=k)

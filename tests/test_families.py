@@ -17,6 +17,7 @@ from partition_forge.families import (
     Budget,
     canonical_key,
     count_by_word,
+    flat_walk,
     is_member,
     members,
     validate_member,
@@ -189,14 +190,38 @@ def test_flat_parity_checks_survive_optimisation():
     # eps(ground, ground) = 1 breaks the parity of the flat sizes; the check
     # is an explicit raise, so it also holds under python -O
     from partition_forge.core import ColorSystem, EnergyMatrix
-    from partition_forge.families import _f2_members, _fk_members
 
     colors = ColorSystem(("a", "g"), 1)
     odd_ground = EnergyMatrix(((0, 1), (0, 1)))
     with pytest.raises(UsageError, match="wrong parity"):
-        _f2_members(odd_ground, colors, Budget(3, 3))
+        flat_walk(odd_ground, colors, Budget(3, 3), 2, Secondary)
     with pytest.raises(UsageError, match="does not fit a degree-2 part"):
-        _fk_members(odd_ground, colors, Budget(3, 3), 2)
+        flat_walk(odd_ground, colors, Budget(3, 3), 2, DegreeK)
+
+
+def test_flat_walk_equals_members():
+    # members sorts what flat_walk builds: the same multiset, every member
+    # valid, on every catalog energy and both shipped transforms
+    from partition_forge.characters import keith_xiong_setup, siladic_setup
+
+    cases = []
+    for colors, energy in small_energies():
+        for word in (None, tuple(reversed(colors.non_ground))):
+            cases.append((colors, energy, Budget(3, 4, word), None))
+    colors, energy, transform = siladic_setup()
+    cases.append((colors, energy, Budget(30, 31), transform))
+    colors, energy, transform = keith_xiong_setup(3)
+    cases.append((colors, energy, Budget(14, 15), transform))
+    for colors, energy, budget, transform in cases:
+        runs = [("F1", 1, Primary, None), ("F2", 2, Secondary, None)]
+        if transform is None:
+            runs += [("Fk", k, DegreeK, k) for k in (2, 3)]
+        for tag, k, make, degree in runs:
+            walked = flat_walk(energy, colors, budget, k, make, transform)
+            found = members(tag, energy, colors, budget, degree=degree, transform=transform)
+            assert Counter(walked) == Counter(found), (tag, k, energy, budget)
+            for pi in found:
+                validate_member(tag, pi, energy, colors, degree=degree)
 
 
 def _r2_brute_force(energy, colors, budget, halves):
@@ -274,12 +299,9 @@ def test_r2_count_equals_e_plus_on_a_wide_budget():
 
 def test_flat_walk_stall_raises_usage_error():
     # delta_g = 1 and eps(a, a) = 0: zero-size a parts repeat without end
-    from partition_forge.families import flat_walk
-
     colors, energy = [
         (c, e) for c, e in small_energies(max_colors=2) if e.e(c.ground, 0) == 1 and e.e(0, 0) == 0
     ][0]
     with pytest.raises(UsageError, match="stalled on zero-cost parts"):
-        flat_walk(range(colors.n), colors.ground, energy.e, Budget(0, 50), stall_limit=3)
-    assert len(flat_walk(range(colors.n), colors.ground, energy.e, Budget(0, 3),
-                         stall_limit=3)) == 4
+        flat_walk(energy, colors, Budget(0, 50), stall_limit=3)
+    assert len(flat_walk(energy, colors, Budget(0, 3), stall_limit=3)) == 4
