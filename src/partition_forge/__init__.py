@@ -25,7 +25,7 @@ from .core import (
     partition_size,
     validate_energy,
 )
-from .families import Budget, count_by_word, is_member, members, validate_member
+from .families import Budget, count_by_word, members, validate_member
 from .deg1 import decompose, omega, omega_inv, recompose
 from .deg2 import (
     add_ground,

@@ -304,23 +304,32 @@ def _transformed_vectors(tag, energy, colors, transform, order):
 
 def verify_named_identity(name, order, m=None):
     """Exact per-coefficient verification of one named identity."""
+    if name == "keith_xiong":
+        return _report(name, m, order, _keith_xiong_rows(_need_m(m), order))
+    columns = _identity_columns(name, order, m)
+    rows = []
+    for n in range(order + 1):
+        counts = {label: count(n) for label, count in columns.items()}
+        rows.append({"n": n, **counts, "match": len(set(counts.values())) == 1})
+    return _report(name, m, order, rows)
+
+
+def _identity_columns(name, order, m):
+    """``{label: count}`` per identity: each count maps n to one side's
+    coefficient, and the labels are the row keys in order."""
     if name == "euler":
-        rows = []
         prod1 = pochhammer_expand((ProductFactor(1, (), 1, 1),), order, 0)
         prod2 = pochhammer_expand(
             (ProductFactor(-1, (), 2, 2), ProductFactor(-1, (), 1, 1, reciprocal=True)),
             order,
             0,
         )
-        for n in range(order + 1):
-            counts = {
-                "distinct": classic.count_distinct(n),
-                "odd": classic.count_odd(n),
-                "product": prod1.coeff(n),
-                "quotient_product": prod2.coeff(n),
-            }
-            rows.append({"n": n, **counts, "match": len(set(counts.values())) == 1})
-        return _report(name, m, order, rows)
+        return {
+            "distinct": classic.count_distinct,
+            "odd": classic.count_odd,
+            "product": prod1.coeff,
+            "quotient_product": prod2.coeff,
+        }
 
     if name == "glaisher":
         m = _need_m(m)
@@ -329,63 +338,24 @@ def verify_named_identity(name, order, m=None):
             order,
             0,
         )
-        rows = []
-        for n in range(order + 1):
-            counts = {
-                "regular": classic.count_m_regular(n, m),
-                "occurrences": classic.count_occurrences_below(n, m),
-                "flat": classic.count_m_flat(n, m),
-                "product": prod.coeff(n),
-            }
-            rows.append({"n": n, **counts, "match": len(set(counts.values())) == 1})
-        return _report(name, m, order, rows)
-
-    if name == "keith_xiong":
-        m = _need_m(m)
-        colors, energy, transform = keith_xiong_setup(m)
-        flat_w = _transformed_vectors("F1", energy, colors, transform, order)
-        reg_w = _transformed_vectors("R1", energy, colors, transform, order)
-        rows = []
-        for n in range(order + 1):
-            flat_c = Counter()
-            reg_c = Counter()
-            for lam in classic.partitions_of(n):
-                vec = classic.residue_vector(lam, m)
-                if classic.is_m_flat(lam, m):
-                    flat_c[vec] += 1
-                if classic.is_m_regular(lam, m):
-                    reg_c[vec] += 1
-            flat_ww = Counter({v: c for (d, v), c in flat_w.items() if d == n})
-            reg_ww = Counter({v: c for (d, v), c in reg_w.items() if d == n})
-            match = flat_c == reg_c == flat_ww == reg_ww
-            rows.append(
-                {
-                    "n": n,
-                    "vectors": len(flat_c),
-                    "flat": sum(flat_c.values()),
-                    "regular": sum(reg_c.values()),
-                    "flat_colored": sum(flat_ww.values()),
-                    "regular_colored": sum(reg_ww.values()),
-                    "match": match,
-                }
-            )
-        return _report(name, m, order, rows)
+        return {
+            "regular": lambda n: classic.count_m_regular(n, m),
+            "occurrences": lambda n: classic.count_occurrences_below(n, m),
+            "flat": lambda n: classic.count_m_flat(n, m),
+            "product": prod.coeff,
+        }
 
     if name == "glaisher_analogue":
         m = _need_m(m)
         colors, energy, transform = glaisher_analogue_setup(m)
         flat_t = _transformed_counts("F1", energy, colors, transform, order)
         reg_t = _transformed_counts("R1", energy, colors, transform, order)
-        rows = []
-        for n in range(order + 1):
-            counts = {
-                "regular_distinct": classic.count_m_regular_distinct(n, m),
-                "flat_second_kind": classic.count_second_kind_flat(n, m),
-                "flat_colored": flat_t[n],
-                "regular_colored": reg_t[n],
-            }
-            rows.append({"n": n, **counts, "match": len(set(counts.values())) == 1})
-        return _report(name, m, order, rows)
+        return {
+            "regular_distinct": lambda n: classic.count_m_regular_distinct(n, m),
+            "flat_second_kind": lambda n: classic.count_second_kind_flat(n, m),
+            "flat_colored": flat_t.__getitem__,
+            "regular_colored": reg_t.__getitem__,
+        }
 
     if name == "siladic_companion":
         colors, energy, transform = siladic_setup()
@@ -393,19 +363,48 @@ def verify_named_identity(name, order, m=None):
         b_side = _transformed_counts("F2", energy, colors, transform, order)
         o_side = _transformed_counts("O+", energy, colors, transform, order)
         prod = pochhammer_expand((ProductFactor(1, (), 1, 2),), order, 0)
-        rows = []
-        for n in range(order + 1):
-            counts = {
-                "A": a_side[n],
-                "B": b_side[n],
-                "primary": o_side[n],
-                "distinct_odd": classic.count_distinct_odd(n),
-                "product": prod.coeff(n),
-            }
-            rows.append({"n": n, **counts, "match": len(set(counts.values())) == 1})
-        return _report(name, m, order, rows)
+        return {
+            "A": a_side.__getitem__,
+            "B": b_side.__getitem__,
+            "primary": o_side.__getitem__,
+            "distinct_odd": classic.count_distinct_odd,
+            "product": prod.coeff,
+        }
 
     raise UsageError("unknown identity %r" % (name,))
+
+
+def _keith_xiong_rows(m, order):
+    """Rows of the refinement by residue vector: the classical m-flat and
+    m-regular partitions against both colored families."""
+    colors, energy, transform = keith_xiong_setup(m)
+    flat_w = _transformed_vectors("F1", energy, colors, transform, order)
+    reg_w = _transformed_vectors("R1", energy, colors, transform, order)
+    rows = []
+    for n in range(order + 1):
+        flat_c = Counter()
+        reg_c = Counter()
+        for lam in classic.partitions_of(n):
+            vec = classic.residue_vector(lam, m)
+            if classic.is_m_flat(lam, m):
+                flat_c[vec] += 1
+            if classic.is_m_regular(lam, m):
+                reg_c[vec] += 1
+        flat_ww = Counter({v: c for (d, v), c in flat_w.items() if d == n})
+        reg_ww = Counter({v: c for (d, v), c in reg_w.items() if d == n})
+        match = flat_c == reg_c == flat_ww == reg_ww
+        rows.append(
+            {
+                "n": n,
+                "vectors": len(flat_c),
+                "flat": sum(flat_c.values()),
+                "regular": sum(reg_c.values()),
+                "flat_colored": sum(flat_ww.values()),
+                "regular_colored": sum(reg_ww.values()),
+                "match": match,
+            }
+        )
+    return rows
 
 
 def _need_m(m):

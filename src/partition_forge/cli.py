@@ -49,6 +49,23 @@ def _partition_json(pi, colors, energy):
     ]
 
 
+# Size limits past which a request would run for seconds to minutes (times
+# on a 2-core host).  Each ladder step of a product touches every row, so a
+# series costs at least the square of its order.  verify caches every
+# classical partition of each n, about 2.3x more memory per +5 of order
+# (order 50: 4 s, 392 MB).  A character walk grows with both rank and order
+# (A2n2 rank 2, order 40: 34 s; rank 200, order 2: 29 s).
+MAX_SERIES_ORDER = 1000
+MAX_VERIFY_ORDER = 50
+MAX_CHARACTER_ORDER = 30
+MAX_CHARACTER_RANK = 50
+
+
+def _at_most(flag, value, limit):
+    if value > limit:
+        raise UsageError("%s must be at most %d, got %d" % (flag, limit, value))
+
+
 def _cmd_enumerate(args):
     colors, energy = load_energy(args.energy)
     word = _parse_word(args.word, colors) if args.word is not None else None
@@ -141,6 +158,8 @@ def _cmd_verify_deg2(args):
 
 
 def _cmd_character(args):
+    _at_most("--order", args.order, MAX_CHARACTER_ORDER)
+    _at_most("--rank", args.rank, MAX_CHARACTER_RANK)
     report = characters.verify_character(args.family, args.rank, args.order)
     if args.json:
         print(json.dumps(report, indent=2))
@@ -161,6 +180,7 @@ def _cmd_character(args):
 
 
 def _cmd_verify(args):
+    _at_most("--order", args.order, MAX_VERIFY_ORDER)
     report = characters.verify_named_identity(args.identity, args.order, m=args.m)
     if args.json:
         print(json.dumps(report, indent=2))
@@ -214,14 +234,8 @@ def _parse_factors(data, nvars):
     return factors
 
 
-# each ladder step of a product touches every row, so the cost grows at
-# least with the square of the order
-MAX_SERIES_ORDER = 1000
-
-
 def _cmd_series(args):
-    if args.order > MAX_SERIES_ORDER:
-        raise UsageError("--order must be at most %d, got %d" % (MAX_SERIES_ORDER, args.order))
+    _at_most("--order", args.order, MAX_SERIES_ORDER)
     spec = args.factors
     if spec.startswith("@"):
         with open(spec[1:], encoding="utf-8") as handle:
@@ -316,10 +330,8 @@ def main(argv=None):
     args = _shared_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, InvalidPartitionError, EnergyStructureError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (UsageError, InvalidPartitionError, EnergyStructureError, OSError,
+            json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -3,7 +3,7 @@ catalog of minimal ground-compatible energies on few colors."""
 
 from itertools import product
 
-from partition_forge.core import ColorSystem, EnergyMatrix, parse_energy
+from partition_forge.core import ColorSystem, EnergyMatrix, InvalidPartitionError, parse_energy
 
 # b repeats, a does not, a and b alternate freely
 MIXED_TEXT = "a b c\nc\n1 0 1\n0 0 1\n0 0 0\n"
@@ -46,3 +46,12 @@ def small_energies(max_colors=3):
 def w(colors, text):
     """Spell a word of single-letter color labels as index tuple."""
     return tuple(colors.index(ch) for ch in text)
+
+
+def rejects(check, *args):
+    """Whether ``check(*args)`` raises InvalidPartitionError."""
+    try:
+        check(*args)
+    except InvalidPartitionError:
+        return True
+    return False

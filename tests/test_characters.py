@@ -166,6 +166,29 @@ def test_named_identities_small():
     assert [row["A"] for row in report["rows"]] == [1, 1, 0, 1, 1, 1, 1, 1, 2, 2]
 
 
+@pytest.mark.parametrize("name,m,keys", (
+    ("euler", None, ["distinct", "odd", "product", "quotient_product"]),
+    ("glaisher", 2, ["regular", "occurrences", "flat", "product"]),
+    ("keith_xiong", 2, ["vectors", "flat", "regular", "flat_colored", "regular_colored"]),
+    ("glaisher_analogue", 3, ["regular_distinct", "flat_second_kind", "flat_colored",
+                              "regular_colored"]),
+    ("siladic_companion", None, ["A", "B", "primary", "distinct_odd", "product"]),
+))
+def test_named_identity_row_keys(name, m, keys):
+    report = verify_named_identity(name, 2, m=m)
+    assert [list(row) for row in report["rows"]] == [["n"] + keys + ["match"]] * 3
+
+
+def test_named_identity_flags_a_differing_count(monkeypatch):
+    from partition_forge import classic
+
+    count_odd = classic.count_odd
+    monkeypatch.setattr(classic, "count_odd", lambda n: count_odd(n) + (n == 3))
+    report = verify_named_identity("euler", 5)
+    assert not report["pass"]
+    assert [row["n"] for row in report["rows"] if not row["match"]] == [3]
+
+
 def test_identity_argument_errors():
     with pytest.raises(UsageError):
         verify_named_identity("glaisher", 6)

@@ -155,6 +155,26 @@ def test_series_malformed_factors_exit_2(capsys, spec, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv,message", (
+    (("verify", "--identity", "euler", "--order", "51"), "--order must be at most 50, got 51"),
+    (("verify", "--identity", "glaisher", "--m", "2", "--order", "1000000"),
+     "--order must be at most 50, got 1000000"),
+    (("character", "--family", "A2n2", "--rank", "2", "--order", "31"),
+     "--order must be at most 30, got 31"),
+    (("character", "--family", "A2n2", "--rank", "51", "--order", "1"),
+     "--rank must be at most 50, got 51"),
+    (("character", "--family", "Bn1-Ln", "--rank", "2000", "--order", "1"),
+     "--rank must be at most 50, got 2000"),
+))
+def test_size_past_limit_exits_2(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
+
+
+def test_character_at_rank_limit_runs(capsys):
+    code, out, _ = run(capsys, "character", "--family", "A2n2", "--rank", "50", "--order", "1")
+    assert code == 0 and "product matches" in out
+
+
 def test_malformed_partition_exits_2(capsys, energies):
     mixed, _ = energies
     code, out, err = run(capsys, "omega", "--energy", mixed, "--in", "5a 1b 0c")

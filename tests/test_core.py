@@ -10,6 +10,7 @@ import partition_forge
 from partition_forge.core import (
     _label_splits,
     ColorSystem,
+    DegreeK,
     EnergyMatrix,
     EnergyStructureError,
     Primary,
@@ -28,6 +29,7 @@ from partition_forge.core import (
     mixed_rel,
     parse_energy,
     parse_partition,
+    part_color_seq,
     part_size,
     secondary_regular_rel,
     secondary_size,
@@ -319,3 +321,60 @@ def test_label_splits_long_prefix_run():
     colors = ColorSystem(("a", "aa", "g"), 2)
     assert _label_splits("a" * 200, colors) == (2, (0,) * 200)
     assert _label_splits("aa" * 100 + "g", colors, exclude={2}) == (0, None)
+
+
+# ---------------------------------------------------------------------------
+# text formats on random color systems: labels of one to three letters, some
+# of which spell others, and energies with negative entries
+
+
+@st.composite
+def labelled_partitions(draw):
+    names = draw(st.lists(st.text("abc", min_size=1, max_size=3), min_size=1, max_size=4,
+                          unique=True))
+    n = len(names)
+    colors = ColorSystem(tuple(names), draw(st.integers(0, n - 1)))
+    entries = draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n))
+    energy = EnergyMatrix(tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n)))
+    color, size = st.integers(0, n - 1), st.integers(-5, 20)
+    part = st.one_of(
+        st.builds(Primary, size, color),
+        st.builds(Secondary, size, color, color),
+        st.builds(DegreeK, size, st.lists(color, min_size=2, max_size=4).map(tuple)),
+    )
+    return colors, energy, tuple(draw(st.lists(part, min_size=1, max_size=5)))
+
+
+@given(labelled_partitions())
+@example((ColorSystem(("a", "ab", "b"), 2), EnergyMatrix(((0,) * 3,) * 3), (Secondary(1, 0, 2),)))
+@settings(max_examples=300, deadline=None)
+def test_partition_text_roundtrip_random_labels(case):
+    colors, energy, pi = case
+    text = format_partition(pi, colors, energy)
+    labels = ["".join(map(colors.label, part_color_seq(p))) for p in pi]
+    if any(_label_splits(label, colors)[0] > 1 for label in labels):
+        with pytest.raises(UsageError, match="ambiguous"):
+            parse_partition(text, colors, energy)
+        return
+    back = parse_partition(text, colors, energy)
+    assert format_partition(back, colors, energy) == text
+    for got, part in zip(back, pi):
+        if isinstance(part, DegreeK) and len(part.colors) == 2:
+            assert isinstance(got, Secondary)  # equal as text, checked above
+        else:
+            assert got == part
+
+
+# no whitespace and no leading '#': the energy text format cannot carry those
+@given(
+    st.lists(st.builds(str.__add__, st.sampled_from("abAB_"), st.text("ab09_+-'", max_size=3)),
+             min_size=1, max_size=4, unique=True),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_energy_text_roundtrip_random(names, data):
+    n = len(names)
+    colors = ColorSystem(tuple(names), data.draw(st.integers(0, n - 1)))
+    row = st.lists(st.integers(-50, 50), min_size=n, max_size=n).map(tuple)
+    energy = EnergyMatrix(tuple(data.draw(st.lists(row, min_size=n, max_size=n))))
+    assert parse_energy(format_energy(colors, energy)) == (colors, energy)

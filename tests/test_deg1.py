@@ -3,9 +3,11 @@ from hypothesis import given, settings, strategies as st
 
 from partition_forge.core import (
     ColorSystem,
+    DegreeK,
     EnergyMatrix,
     InvalidPartitionError,
     Primary,
+    Secondary,
     UsageError,
     color_word,
     flat_sizes,
@@ -13,9 +15,9 @@ from partition_forge.core import (
     partition_size,
 )
 from partition_forge.deg1 import decompose, omega, omega_inv, recompose
-from partition_forge.families import Budget, is_member, members, validate_member
+from partition_forge.families import Budget, members, validate_member
 
-from helpers import mixed_energy, small_energies, strict_energy
+from helpers import mixed_energy, rejects, small_energies, strict_energy
 
 FLAT_TEXT = "6a 5a 5b 4c 4c 4c 4b 4a 3c 3a 2a 1c 1c 1b 1a 1b 1b 0c"
 REGULAR_TEXT = "10a 8a 8b 7b 5a 4a 3a 2b 1a 1b 1b 0c"
@@ -86,19 +88,54 @@ def test_omega_rejects_non_members():
         omega_inv(parse_partition("1c 1a 0c", colors, energy), energy, colors)
 
 
+# mixed energy, colors a = 0, b = 1, c = 2 (ground): eps(a, a) = 1, eps(a, b) = 0
+P = Primary
+DEGREE_ONE_MESSAGES = (
+    ("F1", (), "grounded partition cannot be empty"),
+    ("R1", (), "grounded partition cannot be empty"),
+    # every part is read before the terminal is looked at
+    ("F1", (P(1, 0), Secondary(0, 2, 2)), "parts must be primary"),
+    ("R1", (DegreeK(0, (2, 2, 2)), P(0, 2)), "parts must be primary"),
+    ("F1", (P(0, 2), P(1, 0)), "terminal part must be the zero ground part"),
+    ("R1", (P(1, 0),), "terminal part must be the zero ground part"),
+    ("F1", (P(1, 0), P(0, 2), P(0, 2)), "part before the terminal cannot be the zero ground part"),
+    ("R1", (P(0, 2), P(0, 2)), "part before the terminal cannot be the zero ground part"),
+    # R1's ground color is checked before any relation, even an earlier one
+    ("R1", (P(0, 0), P(5, 2), P(1, 0), P(0, 2)), "regular partitions avoid the ground color"),
+    ("R1", (P(1, 2), P(1, 0), P(0, 2)), "regular partitions avoid the ground color"),
+    ("F1", (P(5, 0), P(1, 1), P(0, 2)),
+     "F1 relation fails between Primary(size=5, color=0) and Primary(size=1, color=1)"),
+    ("F1", (P(2, 0), P(0, 2)),
+     "F1 relation fails between Primary(size=2, color=0) and Primary(size=0, color=2)"),
+    ("R1", (P(1, 0), P(1, 0), P(0, 2)),
+     "R1 relation fails between Primary(size=1, color=0) and Primary(size=1, color=0)"),
+)
+
+
+@pytest.mark.parametrize("tag,pi,message", DEGREE_ONE_MESSAGES)
+def test_degree_one_messages_and_precedence(tag, pi, message):
+    # the validator and the map on the family give the same message
+    colors, energy = mixed_energy()
+    for check in (lambda: validate_member(tag, pi, energy, colors),
+                  lambda: (omega if tag == "F1" else omega_inv)(pi, energy, colors)):
+        with pytest.raises(InvalidPartitionError) as info:
+            check()
+        assert str(info.value) == message
+
+
 def _roundtrip_families(colors, energy, max_size, max_parts):
     budget = Budget(max_size, max_parts)
     flats = members("F1", energy, colors, budget)
     regulars = members("R1", energy, colors, budget)
     for pi in flats:
         image = omega(pi, energy, colors)
-        assert is_member("R1", image, energy, colors)
+        validate_member("R1", image, energy, colors)
         assert partition_size(image, energy) == partition_size(pi, energy)
         assert color_word(image, colors) == color_word(pi, colors)
         assert omega_inv(image, energy, colors) == pi
     for pi in regulars:
         pre = omega_inv(pi, energy, colors)
-        assert is_member("F1", pre, energy, colors)
+        validate_member("F1", pre, energy, colors)
         assert partition_size(pre, energy) == partition_size(pi, energy)
         assert color_word(pre, colors) == color_word(pi, colors)
         assert omega(pre, energy, colors) == pi
@@ -198,14 +235,6 @@ def test_omega_inv_roundtrip_random_energies(case):
     assert omega(pre, energy, colors) == pi
 
 
-def _rejects(check, *args):
-    try:
-        check(*args)
-    except InvalidPartitionError:
-        return True
-    return False
-
-
 @given(st.one_of(flat_members(), regular_members()), st.data())
 @settings(max_examples=300, deadline=None)
 def test_maps_reject_exactly_the_non_members(case, data):
@@ -224,6 +253,6 @@ def test_maps_reject_exactly_the_non_members(case, data):
         bad = pi[:-1]
     else:
         bad = pi[:-1] + (Primary(0, g),) + pi[-1:]
-    assert _rejects(omega, bad, energy, colors) == _rejects(validate_member, "F1", bad, energy, colors)
-    assert _rejects(omega_inv, bad, energy, colors) == _rejects(
+    assert rejects(omega, bad, energy, colors) == rejects(validate_member, "F1", bad, energy, colors)
+    assert rejects(omega_inv, bad, energy, colors) == rejects(
         validate_member, "R1", bad, energy, colors)

@@ -4,6 +4,7 @@ import pytest
 
 from partition_forge.core import (
     DegreeK,
+    InvalidPartitionError,
     Primary,
     Secondary,
     SizeTransform,
@@ -18,12 +19,11 @@ from partition_forge.families import (
     canonical_key,
     count_by_word,
     flat_walk,
-    is_member,
     members,
     validate_member,
 )
 
-from helpers import mixed_energy, small_energies, strict_energy, w
+from helpers import mixed_energy, rejects, small_energies, strict_energy, w
 
 GROUNDED_TAGS = ("F1", "R1", "F2", "R2")
 ALL_TAGS = GROUNDED_TAGS + ("O+", "O-", "E+", "E-")
@@ -168,13 +168,15 @@ def test_unknown_tag():
         validate_member("X9", (), energy, colors)
 
 
-def test_is_member_rejects():
+def test_validate_member_rejects():
     colors, energy = mixed_energy()
     a = colors.index("a")
     good = parse_partition("1a 0c", colors, energy)
-    assert is_member("F1", good, energy, colors)
-    assert not is_member("F1", (Primary(5, a), Primary(0, colors.ground)), energy, colors)
-    assert not is_member("R1", (Primary(1, a),), energy, colors)  # missing terminal
+    validate_member("F1", good, energy, colors)
+    with pytest.raises(InvalidPartitionError):
+        validate_member("F1", (Primary(5, a), Primary(0, colors.ground)), energy, colors)
+    with pytest.raises(InvalidPartitionError):
+        validate_member("R1", (Primary(1, a),), energy, colors)  # missing terminal
 
 
 def test_grounded_families_need_compatible_energy():
@@ -240,7 +242,7 @@ def _r2_brute_force(energy, colors, budget, halves):
         for seq in level:
             pi = seq + (term,)
             if (partition_size(pi, energy) <= budget.max_size
-                    and is_member("R2", pi, energy, colors)):
+                    and not rejects(validate_member, "R2", pi, energy, colors)):
                 found.append(pi)
         if length < budget.max_parts:
             level = [seq + (p,) for seq in level for p in parts
