@@ -15,6 +15,7 @@ from .core import (
     color_word,
     epsilon2,
     epsilon2_prime,
+    epsilon_k,
     flat_sizes,
     format_partition,
     ground_delta,
@@ -37,7 +38,7 @@ from .deg2 import (
     strip_ground,
     verify_flatreg2,
 )
-from .degk import epsilon_k, flatten_k, unflatten_k
+from .degk import flatten_k, unflatten_k
 from .series import (
     ProductFactor,
     TruncatedSeries,

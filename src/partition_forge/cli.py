@@ -117,22 +117,8 @@ def _map_command(args, fn):
 
 
 def _cmd_flatten(args):
-    from .core import DegreeK, Secondary
-
-    colors, energy = load_energy(args.energy)
-    pi = parse_partition(args.part, colors, energy)
-    # two-color tokens parse as secondary parts; the degree-k maps take the
-    # equivalent degree-2 form
-    pi = tuple(
-        DegreeK(p.half, (p.left, p.right)) if isinstance(p, Secondary) else p
-        for p in pi
-    )
-    if args.invert:
-        out = degk.unflatten_k(pi, energy, colors, args.degree)
-    else:
-        out = degk.flatten_k(pi, energy, colors, args.degree)
-    print(format_partition(out, colors, energy))
-    return 0
+    fn = degk.unflatten_k if args.invert else degk.flatten_k
+    return _map_command(args, lambda pi, energy, colors: fn(pi, energy, colors, args.degree))
 
 
 def _cmd_verify_deg2(args):

@@ -2,10 +2,13 @@
 
 A primary part ``k_c`` has an integer size ``k`` and a color ``c``.  A
 secondary part ``(k, c, c')`` is the sum of the two primary parts
-``(k + eps(c, c'))_c`` (its upper half) and ``k_{c'}`` (its lower half) and
-has size ``2k + eps(c, c')``.  Partitions are plain tuples of parts read
-left to right from the largest; grounded partitions end with the zero part
-of the distinguished ground color.
+``(k + eps(c, c'))_c`` and ``k_{c'}`` and has size ``2k + eps(c, c')``; a
+degree-k part ``(p, c_1...c_k)`` likewise sums k primary parts chained by
+the flat relation.  The first field of every part type is its base, so the
+flat relation reads any part through its base and its color word: a primary
+part has degree one and a secondary part degree two.  Partitions are plain
+tuples of parts read left to right from the largest; grounded partitions end
+with the zero part of the distinguished ground color.
 
 Everything here is immutable and all relation predicates are pure
 functions, so values can be shared freely.
@@ -52,6 +55,11 @@ class ColorSystem:
             if not name or name[0].isdigit() or name.lstrip("+-")[:1].isdigit():
                 raise EnergyStructureError(
                     "color labels may not start with a digit or sign: %r" % (name,)
+                )
+            # the energy text splits its labels on whitespace and skips '#' lines
+            if name.split() != [name] or name[0] == "#":
+                raise EnergyStructureError(
+                    "color labels may not contain whitespace or start with '#': %r" % (name,)
                 )
         object.__setattr__(
             self,
@@ -237,16 +245,6 @@ def secondary_size(part, energy):
     return 2 * part.half + energy.e(part.left, part.right)
 
 
-def upper_half(part, energy):
-    """gamma: the larger of the two primary parts a secondary part sums."""
-    return Primary(part.half + energy.e(part.left, part.right), part.left)
-
-
-def lower_half(part):
-    """mu: the smaller of the two primary parts a secondary part sums."""
-    return Primary(part.half, part.right)
-
-
 def part_size(part, energy):
     if isinstance(part, Primary):
         return part.size
@@ -312,7 +310,7 @@ class SizeTransform:
 
 
 # ---------------------------------------------------------------------------
-# degree-two energies
+# degree-two and degree-k energies
 
 
 def _check_colors(n, *colors):
@@ -325,6 +323,18 @@ def epsilon2(energy, c, cp, d, dp):
     """Energy between secondary colors cc' and dd' in the flat family."""
     _check_colors(energy.n, c, cp, d, dp)
     return energy.e(c, cp) + 2 * energy.e(cp, d) + energy.e(d, dp)
+
+
+def epsilon_k(energy, k, left, right):
+    """Energy between two degree-k color words (length-k tuples)."""
+    left, right = tuple(left), tuple(right)
+    if len(left) != k or len(right) != k:
+        raise UsageError("color words must both have length %d" % k)
+    e = energy.e
+    total = sum(u * e(left[u - 1], left[u]) for u in range(1, k))
+    total += k * e(left[-1], right[0])
+    total += sum((k - u) * e(right[u - 1], right[u]) for u in range(1, k))
+    return total
 
 
 def delta_exception(energy, colors, c, cp, d, dp):
@@ -360,12 +370,12 @@ def epsilon2_prime(energy, colors, c, cp, d, dp):
 
 
 def flat_rel(x, y, energy):
-    if isinstance(x, Primary) and isinstance(y, Primary):
-        return x.size - y.size == energy.e(x.color, y.color)
-    if isinstance(x, Secondary) and isinstance(y, Secondary):
-        diff = secondary_size(x, energy) - secondary_size(y, energy)
-        return diff == epsilon2(energy, x.left, x.right, y.left, y.right)
-    raise UsageError("flat relation needs two primary or two secondary parts")
+    """Flat relation on two parts of one degree k: sizes differ by exactly epsilon_k."""
+    left, right = part_color_seq(x), part_color_seq(y)
+    if len(left) != len(right):
+        raise UsageError("flat relation needs two parts of one degree")
+    diff = part_size(x, energy) - part_size(y, energy)
+    return diff == epsilon_k(energy, len(left), left, right)
 
 
 def min_diff_rel(x, y, energy):

@@ -2,6 +2,10 @@
 mixed partitions into secondary regular ones, ground stripping, and the
 count-level verification across all six degree-two families.
 
+Splitting and merging are the degree-k maps of ``degk`` at k = 2: a
+secondary part is a flat part of degree two whose halves are its two
+primary constituents, and merging builds ``Secondary`` parts.
+
 The chain runs F2 -> F1 -> R1 -> O -> E -> R2.  Every arrow except O -> E is
 an explicit bijection here; that one link is verified by exhaustive counting
 (the underlying algorithm belongs to a companion construction and is out of
@@ -15,50 +19,21 @@ from .core import (
     Primary,
     Secondary,
     ground_delta,
-    lower_half,
     partition_size,
     secondary_size,
-    upper_half,
 )
+from .degk import flatten_k, unflatten_k
 from .families import Budget, validate_member, walk_members
 
 
 def split_flat2(pi, energy, colors):
     """Split each secondary part of a flat partition into its two halves."""
-    validate_member("F2", pi, energy, colors)
-    g = colors.ground
-    if len(pi) == 1:
-        return (Primary(0, g),)
-    parts = []
-    for p in pi[:-2]:
-        parts.append(upper_half(p, energy))
-        parts.append(lower_half(p))
-    last = pi[-2]
-    parts.append(upper_half(last, energy))
-    if last.right != g:
-        parts.append(lower_half(last))
-    parts.append(Primary(0, g))
-    out = tuple(parts)
-    validate_member("F1", out, energy, colors)
-    return out
+    return flatten_k(pi, energy, colors, 2)
 
 
 def merge_flat1(pi, energy, colors):
     """Pair consecutive primary parts into secondary ones, padding an odd tail."""
-    validate_member("F1", pi, energy, colors)
-    g = colors.ground
-    body = list(pi[:-1])
-    if not body:
-        return (Secondary(0, g, g),)
-    if len(body) % 2:
-        body.append(Primary(0, g))
-    parts = []
-    for i in range(0, len(body), 2):
-        hi, lo = body[i], body[i + 1]
-        parts.append(Secondary(lo.size, hi.color, lo.color))
-    out = tuple(parts) + (Secondary(0, g, g),)
-    validate_member("F2", out, energy, colors)
-    return out
+    return unflatten_k(pi, energy, colors, 2, Secondary)
 
 
 def embed_part(p, energy, colors):

@@ -1,113 +1,71 @@
-"""Degree-k parts and the splitting between degree-k and degree-one flatness.
+"""The flat layer of every degree: splitting degree-k flat partitions into
+degree-one ones, and regrouping them.
 
-A degree-k part ``(p, c_1...c_k)`` is the sum of k primary parts chained by
-the flat relation; its size is ``k*p + sum(u * eps(c_u, c_{u+1}))``.  The
-forward map lays out those k primary constituents in place of each part,
-truncating trailing zero ground parts of the last one; the inverse regroups
-k at a time, padding the final group with zero ground parts.
+A degree-k part ``(p, c_1...c_k)`` sums k primary parts chained by the flat
+relation; its size is ``k*p + sum(u * eps(c_u, c_{u+1}))``.  The maps read a
+part only through its base and its color word, so a primary part has degree
+one and a secondary part degree two: ``deg2.split_flat2`` and
+``deg2.merge_flat1`` are these maps at k = 2.  The forward map lays out the
+k primary constituents of each part, truncating trailing zero ground parts
+of the last one; the inverse regroups k at a time, padding the final group
+with zero ground parts.  Both check their input and their output.
 """
 
 from __future__ import annotations
 
-from .core import DegreeK, InvalidPartitionError, Primary, UsageError, part_size
-
-
-def epsilon_k(energy, k, left, right):
-    """Energy between two degree-k color words (length-k tuples)."""
-    left, right = tuple(left), tuple(right)
-    if len(left) != k or len(right) != k:
-        raise UsageError("color words must both have length %d" % k)
-    e = energy.e
-    total = sum(u * e(left[u - 1], left[u]) for u in range(1, k))
-    total += k * e(left[-1], right[0])
-    total += sum((k - u) * e(right[u - 1], right[u]) for u in range(1, k))
-    return total
+from .core import DegreeK, InvalidPartitionError, Primary, UsageError, part_color_seq
+from .families import F1, read_degree_one, require_degree, validate_flat
 
 
 def gamma_parts(part, energy):
-    """The k primary constituents of a degree-k part, largest first."""
-    cs = part.colors
-    k = len(cs)
-    out = []
-    for i in range(k):
-        shift = sum(energy.e(cs[v], cs[v + 1]) for v in range(i, k - 1))
-        out.append(Primary(part.base + shift, cs[i]))
-    return out
-
-
-def degree_flat_rel(x, y, energy):
-    """Flat relation on degree-k parts: sizes differ by exactly epsilon_k."""
-    k = len(x.colors)
-    if len(y.colors) != k:
-        raise UsageError("parts have different degrees")
-    diff = part_size(x, energy) - part_size(y, energy)
-    return diff == epsilon_k(energy, k, x.colors, y.colors)
-
-
-def _require(cond, message):
-    if not cond:
-        raise InvalidPartitionError(message)
-
-
-def validate_flat_k(pi, energy, colors, k):
-    g = colors.ground
-    ground_part = DegreeK(0, (g,) * k)
-    _require(len(pi) >= 1, "grounded partition cannot be empty")
-    for p in pi:
-        _require(isinstance(p, DegreeK) and len(p.colors) == k,
-                 "parts must have degree %d" % k)
-    _require(pi[-1] == ground_part, "terminal part must be the zero ground part")
-    if len(pi) > 1:
-        _require(pi[-2] != ground_part, "part before the terminal cannot be the zero ground part")
-    for x, y in zip(pi, pi[1:]):
-        _require(degree_flat_rel(x, y, energy),
-                 "flat relation fails between %r and %r" % (x, y))
+    """The k primary constituents of a part of degree k, largest first."""
+    word, ev = part_color_seq(part), energy.values
+    sizes = [part[0]]
+    for u in range(len(word) - 1, 0, -1):
+        sizes.append(sizes[-1] + ev[word[u - 1]][word[u]])
+    return list(map(Primary, reversed(sizes), word))
 
 
 def flatten_k(pi, energy, colors, k):
     """Map a degree-k flat partition to the degree-one flat partition it spells."""
     if energy.e(colors.ground, colors.ground) != 0:
         raise UsageError("splitting requires eps(ground, ground) = 0")
-    g = colors.ground
-    validate_flat_k(pi, energy, colors, k)
-    if len(pi) == 1:
-        return (Primary(0, g),)
-    out = []
-    for part in pi[:-2]:
-        out.extend(gamma_parts(part, energy))
-    last = gamma_parts(pi[-2], energy)
-    cut = max(i for i in range(k) if last[i] != Primary(0, g))
-    out.extend(last[: cut + 1])
-    out.append(Primary(0, g))
-    return tuple(out)
+    validate_flat(pi, energy, colors, k)
+    out = [q for p in pi[:-1] for q in gamma_parts(p, energy)]
+    zero = Primary(0, colors.ground)
+    # only the last part's constituents can end in zero ground parts: a part
+    # that is all zero ground parts is the terminal, which the part before
+    # it may not be
+    while out and out[-1] == zero:
+        out.pop()
+    out.append(zero)
+    result = tuple(out)
+    read_degree_one(F1, result, energy, colors)
+    return result
 
 
-def unflatten_k(pi, energy, colors, k):
-    """Regroup a degree-one flat partition k primary parts at a time."""
+def unflatten_k(pi, energy, colors, k, make=DegreeK):
+    """Regroup a degree-one flat partition k primary parts at a time.
+
+    Each group becomes ``make(base, word)`` for ``DegreeK`` and
+    ``make(base, *word)`` for the other part types.
+    """
     if energy.e(colors.ground, colors.ground) != 0:
         raise UsageError("grouping requires eps(ground, ground) = 0")
-    g = colors.ground
-    from .families import validate_member  # local import avoids a cycle
-
-    validate_member("F1", pi, energy, colors)
-    body = pi[:-1]
-    s = len(body)
-    ground_part = DegreeK(0, (g,) * k)
-    if s == 0:
-        return (ground_part,)
-    pad = (-s) % k
-    padded = list(body) + [Primary(0, g)] * pad
+    require_degree(k)
+    sizes, cols = read_degree_one(F1, pi, energy, colors)
+    # zero ground parts pad the last group and make up the terminal one
+    fill = -(len(pi) - 1) % k + k
+    sizes[-1:], cols[-1:] = [0] * fill, [colors.ground] * fill
+    ev = energy.values
     out = []
-    for i in range(0, len(padded), k):
-        group = padded[i : i + k]
-        cs = tuple(p.color for p in group)
-        out.append(DegreeK(group[-1].size, cs))
-    out.append(ground_part)
-    result = tuple(out)
-    for part, group_start in zip(result[:-1], range(0, len(padded), k)):
-        expected = padded[group_start : group_start + k]
-        if gamma_parts(part, energy) != expected:
+    for i in range(0, len(sizes), k):
+        if any(sizes[j] - sizes[j + 1] != ev[cols[j]][cols[j + 1]] for j in range(i, i + k - 1)):
+            group = list(map(Primary, sizes[i : i + k], cols[i : i + k]))
             raise InvalidPartitionError(
-                "primary parts %r do not chain into one degree-%d part" % (expected, k)
-            )
+                "primary parts %r do not chain into one degree-%d part" % (group, k))
+        base, word = sizes[i + k - 1], tuple(cols[i : i + k])
+        out.append(make(base, word) if make is DegreeK else make(base, *word))
+    result = tuple(out)
+    validate_flat(result, energy, colors, k)
     return result

@@ -56,7 +56,6 @@ from .core import (
     Secondary,
     UsageError,
     delta_exception,
-    flat_rel,
     ground_delta,
     min_diff_rel,
     mixed_rel,
@@ -65,7 +64,6 @@ from .core import (
     partition_size,
     secondary_regular_rel,
 )
-from .degk import validate_flat_k
 
 F1, R1, F2, R2 = "F1", "R1", "F2", "R2"
 O_PLUS, O_MINUS, E_PLUS, E_MINUS = "O+", "O-", "E+", "E-"
@@ -388,8 +386,7 @@ def walk_members(tag, energy, colors, budget, degree=None, transform=None):
     if tag == F2:
         return flat_walk(energy, colors, budget, 2, Secondary, transform)
     if tag == FK:
-        if degree is None or degree < 1:
-            raise UsageError("degree-k enumeration needs degree >= 1")
+        require_degree(degree)
         if transform is not None:
             raise UsageError("transforms are not supported for degree-k enumeration")
         return flat_walk(energy, colors, budget, degree, DegreeK)
@@ -467,31 +464,72 @@ def read_degree_one(tag, pi, energy, colors):
     return sizes, cols
 
 
+def require_degree(degree):
+    """The degree of a degree-k family, raising UsageError unless it is at least 1."""
+    if degree is None or degree < 1:
+        raise UsageError("degree-k partitions need degree >= 1, got %s" % (degree,))
+    return degree
+
+
+def validate_flat(pi, energy, colors, k):
+    """Raise unless ``pi`` is a flat member of degree k, for F2 and Fk in
+    ``validate_member`` and for the degree-k maps alike.
+
+    A part is read through its base (its first field) and its color word:
+    primary parts have degree one, secondary parts two.  The messages come
+    in the order of ``read_degree_one``'s, with the degree of every part in
+    place of the primary check.  x steps to y when base(x) - base(y) is
+    eps(last(x), first(y)) plus the energy inside y's word (``flat_rel``).
+    """
+    require_degree(k)
+    if not pi:
+        raise InvalidPartitionError("grounded partition cannot be empty")
+    try:
+        words = [part_color_seq(p) for p in pi]
+    except UsageError:  # not a part, so of no degree
+        words = [()]
+    if any(len(w) != k for w in words):
+        raise InvalidPartitionError("parts must have degree %d" % k)
+    bases = [p[0] for p in pi]
+    ground = (colors.ground,) * k
+    if bases[-1] != 0 or words[-1] != ground:
+        raise InvalidPartitionError("terminal part must be the zero ground part")
+    if len(pi) > 1 and bases[-2] == 0 and words[-2] == ground:
+        raise InvalidPartitionError("part before the terminal cannot be the zero ground part")
+    ev = energy.values
+    for i in range(1, len(pi)):
+        w = words[i]
+        step = ev[words[i - 1][-1]][w[0]] + sum(ev[c][d] for c, d in zip(w, w[1:]))
+        if bases[i - 1] - bases[i] != step:
+            raise InvalidPartitionError(
+                "F%d relation fails between %r and %r" % (k, pi[i - 1], pi[i]))
+
+
 def validate_member(tag, pi, energy, colors, degree=None):
     """Raise InvalidPartitionError naming the violated constraint."""
     g = colors.ground
     pi = tuple(pi)
     if tag == F1 or tag == R1:
         read_degree_one(tag, pi, energy, colors)
-    elif tag == F2 or tag == R2:
+    elif tag == F2:
+        _require(all(isinstance(p, Secondary) for p in pi), "parts must be secondary")
+        validate_flat(pi, energy, colors, 2)
+    elif tag == FK:
+        _require(all(isinstance(p, DegreeK) for p in pi),
+                 "parts must have degree %d" % require_degree(degree))
+        validate_flat(pi, energy, colors, degree)
+    elif tag == R2:
         term = Secondary(0, g, g)
         _require(len(pi) >= 1, "grounded partition cannot be empty")
         _require(all(isinstance(p, Secondary) for p in pi), "parts must be secondary")
         _require(pi[-1] == term, "terminal part must be the zero ground part")
         if len(pi) > 1:
             _require(pi[-2] != term, "part before the terminal cannot be the zero ground part")
-        if tag == R2:
-            _require(all((p.left, p.right) != (g, g) for p in pi[:-1]),
-                     "secondary regular partitions avoid the ground color pair")
-            for x, y in zip(pi, pi[1:]):
-                _require(secondary_regular_rel(x, y, energy, colors),
-                         "R2 relation fails between %r and %r" % (x, y))
-        else:
-            for x, y in zip(pi, pi[1:]):
-                _require(flat_rel(x, y, energy),
-                         "F2 relation fails between %r and %r" % (x, y))
-    elif tag == FK:
-        validate_flat_k(pi, energy, colors, degree)
+        _require(all((p.left, p.right) != (g, g) for p in pi[:-1]),
+                 "secondary regular partitions avoid the ground color pair")
+        for x, y in zip(pi, pi[1:]):
+            _require(secondary_regular_rel(x, y, energy, colors),
+                     "R2 relation fails between %r and %r" % (x, y))
     elif tag in (O_PLUS, O_MINUS):
         rho = 1 - ground_delta(energy, colors)
         _require(all(isinstance(p, Primary) and p.color != g for p in pi),

@@ -1,4 +1,6 @@
+import argparse
 import json
+import shlex
 
 import pytest
 
@@ -306,3 +308,66 @@ def test_shared_parser_matches_fresh_parser(capsys, energies, monkeypatch):
     assert outcomes() == shared
     assert [code for code, _, _ in shared] == [2, 0, 0]
     assert shared[0][2].startswith("usage: partition-forge count")
+
+
+# (argv, exit code, stdout or the message of the one stderr line); "{mixed}"
+# and "{strict}" stand for the energy files, "{{" and "}}" for braces
+EXIT_CODES = (
+    ("enumerate --family F1 --energy {strict} --max-size 1", 0, "0c\n1a 0c\n1b 0c\n"),
+    ("enumerate --family Fk --energy {strict} --max-size 1", 2,
+     "degree-k partitions need degree >= 1, got None"),
+    ("count --family F2 --energy {strict} --word ab --size 5", 0, "2\n"),
+    ("count --family Fk --energy {strict} --word a --size 1", 2,
+     "degree-k partitions need degree >= 1, got None"),
+    ("omega --energy {mixed} --in '1c 1a 0c'", 0, "2a 0c\n"),
+    ("omega --energy {mixed} --in '5a 1b 0c'", 2,
+     "F1 relation fails between Primary(size=5, color=0) and Primary(size=1, color=1)"),
+    ("omega-inv --energy {mixed} --in '2a 0c'", 0, "1c 1a 0c\n"),
+    ("omega-inv --energy {mixed} --in '1c 1a 0c'", 2, "regular partitions avoid the ground color"),
+    ("split2 --energy {strict} --in '3ab 0cc'", 0, "2a 1b 0c\n"),
+    ("split2 --energy {strict} --in 0c", 2, "parts must have degree 2"),
+    ("merge2 --energy {strict} --in '2a 1b 0c'", 0, "3ab 0cc\n"),
+    ("merge2 --energy {strict} --in 0cc", 2, "parts must be primary"),
+    ("flatten --energy {strict} --degree 2 --in '3ab 0cc'", 0, "2a 1b 0c\n"),
+    ("flatten --energy {strict} --degree 3 --invert --in '2a 1b 0c'", 0, "3abc 0ccc\n"),
+    # degree one takes degree-one text both ways
+    ("flatten --energy {strict} --degree 1 --in '1a 0c'", 0, "1a 0c\n"),
+    ("flatten --energy {strict} --degree 1 --invert --in '1a 0c'", 0, "1a 0c\n"),
+    ("flatten --energy {strict} --degree 0 --in '1a 0c'", 2,
+     "degree-k partitions need degree >= 1, got 0"),
+    ("flatten --energy {strict} --degree 0 --invert --in '1a 0c'", 2,
+     "degree-k partitions need degree >= 1, got 0"),
+    ("flatten --energy {strict} --degree -1 --in '1a 0c'", 2,
+     "degree-k partitions need degree >= 1, got -1"),
+    ("flatten --energy {strict} --degree -1 --invert --in '1a 0c'", 2,
+     "degree-k partitions need degree >= 1, got -1"),
+    ("verify-deg2 --energy {strict} --word a --max-size 1", 0, None),
+    ("verify-deg2 --energy {strict} --word a --max-size -1", 2, "max_size must be non-negative"),
+    ("character --family A2n2 --rank 2 --order 2", 0,
+     "A2n2 rank 2 to order 2: paths agree, product matches\n"),
+    ("character --family A2n2 --rank 2 --order 31", 2, "--order must be at most 30, got 31"),
+    ("verify --identity euler --order 3", 0, None),
+    ("verify --identity euler --order 51", 2, "--order must be at most 50, got 51"),
+    ("series --factors '[{{\"offset\":1}}]' --order 3", 0, "1 + 1*q^1 + 1*q^2 + 2*q^3\n"),
+    ("series --factors '[{{\"offset\":1}}' --order 3", 2, "Expecting ',' delimiter"),
+)
+
+
+@pytest.mark.parametrize("command,code,expected", EXIT_CODES)
+def test_exit_codes(capsys, energies, command, code, expected):
+    mixed, strict = energies
+    argv = shlex.split(command.format(mixed=mixed, strict=strict))
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    if code == 0:
+        assert err == "" and (expected is None or out == expected)
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert expected in err
+
+
+def test_every_verb_has_an_exit_code_row():
+    (verbs,) = [action.choices for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)]
+    covered = {command.split()[0] for command, _, _ in EXIT_CODES}
+    assert set(verbs) <= covered

@@ -24,7 +24,6 @@ from partition_forge.core import (
     format_energy,
     format_partition,
     ground_delta,
-    lower_half,
     min_diff_rel,
     mixed_rel,
     parse_energy,
@@ -33,9 +32,9 @@ from partition_forge.core import (
     part_size,
     secondary_regular_rel,
     secondary_size,
-    upper_half,
     validate_energy,
 )
+from partition_forge.degk import gamma_parts
 
 from helpers import MIXED_TEXT, STRICT_TEXT, mixed_energy, small_energies, strict_energy, w
 
@@ -204,7 +203,7 @@ def test_secondary_halves():
             for cp in range(colors.n):
                 for k in range(-3, 4):
                     part = Secondary(k, c, cp)
-                    hi, lo = upper_half(part, energy), lower_half(part)
+                    hi, lo = gamma_parts(part, energy)
                     assert hi.size + lo.size == secondary_size(part, energy)
                     assert flat_rel(hi, lo, energy)
 
@@ -239,6 +238,13 @@ def test_energy_text_errors():
         parse_energy("a b\nb\n0 0\n")
     with pytest.raises(EnergyStructureError):
         parse_energy("a b\nb\nx y\n0 0\n")
+
+
+# the energy text splits its labels on whitespace and skips lines starting with '#'
+@pytest.mark.parametrize("names", (("#a", "g"), ("a", "#g"), ("a b", "g"), ("a\tb", "g")))
+def test_color_labels_the_energy_text_cannot_carry(names):
+    with pytest.raises(EnergyStructureError, match="whitespace or start with '#'"):
+        ColorSystem(names, 1)
 
 
 def test_partition_text_roundtrip():
@@ -365,7 +371,7 @@ def test_partition_text_roundtrip_random_labels(case):
             assert got == part
 
 
-# no whitespace and no leading '#': the energy text format cannot carry those
+# no whitespace and no leading '#': ColorSystem rejects those
 @given(
     st.lists(st.builds(str.__add__, st.sampled_from("abAB_"), st.text("ab09_+-'", max_size=3)),
              min_size=1, max_size=4, unique=True),

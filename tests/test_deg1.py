@@ -2,22 +2,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from partition_forge.core import (
-    ColorSystem,
     DegreeK,
-    EnergyMatrix,
     InvalidPartitionError,
     Primary,
     Secondary,
     UsageError,
     color_word,
-    flat_sizes,
     parse_partition,
     partition_size,
 )
 from partition_forge.deg1 import decompose, omega, omega_inv, recompose
 from partition_forge.families import Budget, members, validate_member
 
-from helpers import mixed_energy, rejects, small_energies, strict_energy
+from helpers import (
+    flat_members,
+    mixed_energy,
+    regular_members,
+    rejects,
+    small_energies,
+    strict_energy,
+)
 
 FLAT_TEXT = "6a 5a 5b 4c 4c 4c 4b 4a 3c 3a 2a 1c 1c 1b 1a 1b 1b 0c"
 REGULAR_TEXT = "10a 8a 8b 7b 5a 4a 3a 2b 1a 1b 1b 0c"
@@ -168,47 +172,6 @@ def test_roundtrips_every_small_energy():
 # ---------------------------------------------------------------------------
 # properties on random energies past the exhaustive catalog (at most three
 # colors): minimal ground-compatible energies on four and five colors
-
-
-@st.composite
-def minimal_energies(draw):
-    n = draw(st.integers(4, 5))
-    m = n - 1
-    delta = draw(st.integers(0, 1))
-    bits = draw(st.lists(st.integers(0, 1), min_size=m * m, max_size=m * m))
-    rows = [[0] * n for _ in range(n)]
-    for i in range(m):
-        rows[i][:m] = bits[i * m : (i + 1) * m]
-        rows[i][m] = 1 - delta
-        rows[m][i] = delta
-    colors = ColorSystem(tuple("abcd"[:m]) + ("g",), m)
-    return colors, EnergyMatrix(tuple(map(tuple, rows)))
-
-
-@st.composite
-def flat_members(draw):
-    """A flat member is fixed by its color sequence; the last colored part
-    is non-ground, since a ground part there would be a second zero part."""
-    colors, energy = draw(minimal_energies())
-    seq = draw(st.lists(st.integers(0, colors.n - 1), max_size=10))
-    if seq:
-        seq.append(draw(st.sampled_from(colors.non_ground)))
-    full = tuple(seq) + (colors.ground,)
-    pi = tuple(map(Primary, flat_sizes(full, energy, colors), full))
-    return colors, energy, pi
-
-
-@st.composite
-def regular_members(draw):
-    """A regular member is its word's skeleton plus a weakly decreasing
-    non-negative residual."""
-    colors, energy = draw(minimal_energies())
-    word = draw(st.lists(st.sampled_from(colors.non_ground), max_size=8))
-    residual = sorted(draw(st.lists(st.integers(0, 6), min_size=len(word),
-                                    max_size=len(word))), reverse=True)
-    skeleton = flat_sizes(tuple(word) + (colors.ground,), energy, colors)
-    body = tuple(Primary(s + r, c) for s, r, c in zip(skeleton, residual, word))
-    return colors, energy, body + (Primary(0, colors.ground),)
 
 
 @given(flat_members())

@@ -1,14 +1,18 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from partition_forge.core import (
     InvalidPartitionError,
     Primary,
     Secondary,
+    color_word,
     ground_delta,
     mixed_rel,
     parse_partition,
+    part_color_seq,
+    partition_size,
     secondary_regular_rel,
 )
 from partition_forge.deg2 import (
@@ -23,9 +27,19 @@ from partition_forge.deg2 import (
     strip_ground,
     verify_flatreg2,
 )
-from partition_forge.families import Budget, count_by_word, members
+from partition_forge.degk import flatten_k, unflatten_k
+from partition_forge.families import Budget, count_by_word, members, validate_member
 
-from helpers import mixed_energy, small_energies, strict_energy, w
+from helpers import (
+    degree_k_members,
+    flat_members,
+    minimal_energies,
+    mixed_energy,
+    regular_members,
+    small_energies,
+    strict_energy,
+    w,
+)
 
 
 def test_split_merge_examples():
@@ -173,8 +187,6 @@ def test_flatreg2_table_rows_match_cells(shipped):
 
 
 def test_split_merge_preserve_size_and_word():
-    from partition_forge.core import color_word, partition_size
-
     colors, energy = strict_energy()
     for pi in members("F2", energy, colors, Budget(9, 10)):
         split = split_flat2(pi, energy, colors)
@@ -184,3 +196,54 @@ def test_split_merge_preserve_size_and_word():
         image = rmap(pi, energy, colors)
         assert partition_size(image, energy) == partition_size(pi, energy)
         assert color_word(image, colors) == color_word(pi, colors)
+
+
+# ---------------------------------------------------------------------------
+# properties on random minimal ground-compatible energies with two to four
+# colors, past the strict energy of acceptance criterion 5
+
+
+def _bases_and_words(pi):
+    return [(p[0], part_color_seq(p)) for p in pi]
+
+
+@given(degree_k_members(2))
+@settings(max_examples=200, deadline=None)
+def test_split_is_flatten_at_degree_two(case):
+    colors, energy, pi = case
+    secondary = tuple(Secondary(p.base, *p.colors) for p in pi)
+    validate_member("F2", secondary, energy, colors)
+    flat = split_flat2(secondary, energy, colors)
+    assert flat == flatten_k(pi, energy, colors, 2)
+    assert merge_flat1(flat, energy, colors) == secondary
+
+
+@given(flat_members(2, 4))
+@settings(max_examples=200, deadline=None)
+def test_merge_is_unflatten_at_degree_two(case):
+    colors, energy, pi = case
+    merged = merge_flat1(pi, energy, colors)
+    validate_member("F2", merged, energy, colors)
+    assert _bases_and_words(merged) == _bases_and_words(unflatten_k(pi, energy, colors, 2))
+    assert split_flat2(merged, energy, colors) == pi
+
+
+@given(minimal_energies(2, 4))
+@settings(max_examples=40, deadline=None)
+def test_rmap_roundtrips_random_energies(case):
+    colors, energy = case
+    for tag, there, back in (("E+", rmap, rmap_inv), ("R2", rmap_inv, rmap)):
+        for pi in members(tag, energy, colors, Budget(5, 4)):
+            image = there(pi, energy, colors)
+            assert back(image, energy, colors) == pi
+            assert partition_size(image, energy) == partition_size(pi, energy)
+            assert color_word(image, colors) == color_word(pi, colors)
+
+
+@given(regular_members(2, 4))
+@settings(max_examples=200, deadline=None)
+def test_strip_add_ground_roundtrip_random_energies(case):
+    colors, energy, pi = case
+    body = strip_ground(pi, energy, colors)
+    validate_member("O+", body, energy, colors)
+    assert add_ground(body, energy, colors) == pi
