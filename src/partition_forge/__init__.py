@@ -39,13 +39,7 @@ from .deg2 import (
     verify_flatreg2,
 )
 from .degk import flatten_k, unflatten_k
-from .series import (
-    ProductFactor,
-    TruncatedSeries,
-    gf_from_partitions,
-    partition_weight,
-    pochhammer_expand,
-)
+from .series import ProductFactor, TruncatedSeries, gf_from_partitions, pochhammer_expand
 from .characters import (
     CHARACTER_FAMILIES,
     IDENTITIES,

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 from . import classic
 from .core import ColorSystem, EnergyMatrix, SizeTransform, UsageError
 from .families import Budget, flat_walk, walk_members
-from .series import (
-    ProductFactor,
-    gf_from_partitions,
-    partition_weight,
-    pochhammer_expand,
-)
+from .series import ProductFactor, gf_from_partitions, pochhammer_expand
 
 CHARACTER_FAMILIES = ("A2n2", "Dn12-L0", "Dn12-Ln", "Bn1-Ln")
 
@@ -189,16 +184,14 @@ def character_lhs(config, order, route="direct"):
     """
     budget, stall = _character_budget(config.colors, order)
     if route == "direct":
-        flats = flat_walk(config.energy_prime, config.colors, budget, stall_limit=stall)
-        weight, nvars = partition_weight(config.colors, config.energy_prime)
+        energy, transform = config.energy_prime, None
+        flats = flat_walk(energy, config.colors, budget, stall_limit=stall)
     elif route == "transform":
-        flats = flat_walk(config.energy, config.colors, budget, transform=config.transform)
-        weight, nvars = partition_weight(
-            config.colors, config.energy, transform=config.transform
-        )
+        energy, transform = config.energy, config.transform
+        flats = flat_walk(energy, config.colors, budget, transform=transform)
     else:
         raise UsageError("route must be 'direct' or 'transform'")
-    return gf_from_partitions(flats, weight, order, nvars)
+    return gf_from_partitions(flats, config.colors, energy, order, transform)
 
 
 def character_rhs(config, order):
@@ -273,33 +266,12 @@ def siladic_setup():
     return colors, energy, SizeTransform(4, (-3, -1, 0))
 
 
-def _transformed_counts(tag, energy, colors, transform, order, degree=None):
-    """Members bucketed by transformed total size (color variables dropped)."""
-    budget = Budget(order, order + 1)
-    found = walk_members(tag, energy, colors, budget, degree=degree, transform=transform)
-    out = [0] * (order + 1)
-    for pi in found:
-        out[transform.partition_degree(pi, energy)] += 1
-    return out
-
-
-def _transformed_vectors(tag, energy, colors, transform, order):
-    """Counter of (transformed size, residue multiplicity vector) per member.
-
-    Assumes the residue color systems built above: ground at index 0, the
-    color with index i standing for residue class i.
-    """
-    budget = Budget(order, order + 1)
-    found = walk_members(tag, energy, colors, budget, transform=transform)
-    out = Counter()
-    for pi in found:
-        degree = transform.partition_degree(pi, energy)
-        vec = [0] * (colors.n - 1)
-        for p in pi:
-            if p.color != colors.ground:
-                vec[p.color - 1] += 1
-        out[(degree, tuple(vec))] += 1
-    return out
+def _walk_gf(tag, setup, order):
+    """Generating function of one family of an identity's (colors, energy,
+    transformation) setup, walked under the transformation up to ``order``."""
+    colors, energy, transform = setup
+    found = walk_members(tag, energy, colors, Budget(order, order + 1), transform=transform)
+    return gf_from_partitions(found, colors, energy, order, transform)
 
 
 def verify_named_identity(name, order, m=None):
@@ -347,21 +319,18 @@ def _identity_columns(name, order, m):
 
     if name == "glaisher_analogue":
         m = _need_m(m)
-        colors, energy, transform = glaisher_analogue_setup(m)
-        flat_t = _transformed_counts("F1", energy, colors, transform, order)
-        reg_t = _transformed_counts("R1", energy, colors, transform, order)
+        setup = glaisher_analogue_setup(m)
         return {
             "regular_distinct": lambda n: classic.count_m_regular_distinct(n, m),
             "flat_second_kind": lambda n: classic.count_second_kind_flat(n, m),
-            "flat_colored": flat_t.__getitem__,
-            "regular_colored": reg_t.__getitem__,
+            "flat_colored": _walk_gf("F1", setup, order).q_coefficients().__getitem__,
+            "regular_colored": _walk_gf("R1", setup, order).q_coefficients().__getitem__,
         }
 
     if name == "siladic_companion":
-        colors, energy, transform = siladic_setup()
-        a_side = _transformed_counts("R2", energy, colors, transform, order)
-        b_side = _transformed_counts("F2", energy, colors, transform, order)
-        o_side = _transformed_counts("O+", energy, colors, transform, order)
+        setup = siladic_setup()
+        a_side, b_side, o_side = (_walk_gf(tag, setup, order).q_coefficients()
+                                  for tag in ("R2", "F2", "O+"))
         prod = pochhammer_expand((ProductFactor(1, (), 1, 2),), order, 0)
         return {
             "A": a_side.__getitem__,
@@ -377,9 +346,8 @@ def _identity_columns(name, order, m):
 def _keith_xiong_rows(m, order):
     """Rows of the refinement by residue vector: the classical m-flat and
     m-regular partitions against both colored families."""
-    colors, energy, transform = keith_xiong_setup(m)
-    flat_w = _transformed_vectors("F1", energy, colors, transform, order)
-    reg_w = _transformed_vectors("R1", energy, colors, transform, order)
+    setup = keith_xiong_setup(m)
+    flat_w, reg_w = (_by_degree(_walk_gf(tag, setup, order)) for tag in ("F1", "R1"))
     rows = []
     for n in range(order + 1):
         flat_c = Counter()
@@ -390,8 +358,7 @@ def _keith_xiong_rows(m, order):
                 flat_c[vec] += 1
             if classic.is_m_regular(lam, m):
                 reg_c[vec] += 1
-        flat_ww = Counter({v: c for (d, v), c in flat_w.items() if d == n})
-        reg_ww = Counter({v: c for (d, v), c in reg_w.items() if d == n})
+        flat_ww, reg_ww = flat_w[n], reg_w[n]
         match = flat_c == reg_c == flat_ww == reg_ww
         rows.append(
             {
@@ -404,6 +371,14 @@ def _keith_xiong_rows(m, order):
                 "match": match,
             }
         )
+    return rows
+
+
+def _by_degree(series):
+    """Per q-degree, a Counter of the coefficients by exponent vector."""
+    rows = [Counter() for _ in range(series.order + 1)]
+    for (d, exps), v in series.coeffs.items():
+        rows[d][exps] = v
     return rows
 
 

@@ -302,11 +302,9 @@ class SizeTransform:
         return cls(1, (0,) * n)
 
     def part_degree(self, part, energy):
+        """The transformed size of one part: scale times its size plus its colors' shifts."""
         cs = part_color_seq(part)
         return self.scale * part_size(part, energy) + sum(self.shifts[c] for c in cs)
-
-    def partition_degree(self, pi, energy):
-        return sum(self.part_degree(p, energy) for p in pi)
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +319,7 @@ def _check_colors(n, *colors):
 
 def epsilon2(energy, c, cp, d, dp):
     """Energy between secondary colors cc' and dd' in the flat family."""
-    _check_colors(energy.n, c, cp, d, dp)
-    return energy.e(c, cp) + 2 * energy.e(cp, d) + energy.e(d, dp)
+    return epsilon_k(energy, 2, (c, cp), (d, dp))
 
 
 def epsilon_k(energy, k, left, right):
@@ -330,6 +327,7 @@ def epsilon_k(energy, k, left, right):
     left, right = tuple(left), tuple(right)
     if len(left) != k or len(right) != k:
         raise UsageError("color words must both have length %d" % k)
+    _check_colors(energy.n, *left, *right)
     e = energy.e
     total = sum(u * e(left[u - 1], left[u]) for u in range(1, k))
     total += k * e(left[-1], right[0])

@@ -19,11 +19,10 @@ from .core import (
     Primary,
     Secondary,
     ground_delta,
-    partition_size,
     secondary_size,
 )
 from .degk import flatten_k, unflatten_k
-from .families import Budget, validate_member, walk_members
+from .families import size_counts, validate_member
 
 
 def split_flat2(pi, energy, colors):
@@ -109,21 +108,18 @@ FLATREG2_FAMILIES = (("F2", "F2"), ("F1", "F1"), ("R1", "R1"), ("O", "O+"), ("E"
 def flatreg2_table(energy, colors, word, max_size):
     """Count all six degree-two families at every size 0..max_size of one word.
 
-    Each family is walked once, under the budget ``count_by_word`` uses at
-    ``max_size``, and its members are bucketed by size.  Row n is the
-    ``verify_flatreg2`` record of the cell (word, n).
+    Each family is walked once, by ``size_counts`` at ``max_size`` (the
+    budget ``count_by_word`` uses there).  Row n is the ``verify_flatreg2``
+    record of the cell (word, n).
     """
     word = tuple(word)
-    budget = Budget(max_size=max_size, max_parts=len(word) + max_size + 1, word=word)
-    labels = [label for label, _ in FLATREG2_FAMILIES]
-    counts = [dict.fromkeys(labels, 0) for _ in range(max_size + 1)]
-    for label, tag in FLATREG2_FAMILIES:
-        for pi in walk_members(tag, energy, colors, budget):
-            counts[partition_size(pi, energy)][label] += 1
-    return [
-        {"word": word, "n": n, "counts": row, "all_equal": len(set(row.values())) == 1}
-        for n, row in enumerate(counts)
-    ]
+    counts = {label: size_counts(tag, energy, colors, word, max_size)
+              for label, tag in FLATREG2_FAMILIES}
+    rows = []
+    for n in range(max_size + 1):
+        row = {label: sizes[n] for label, sizes in counts.items()}
+        rows.append({"word": word, "n": n, "counts": row, "all_equal": len(set(row.values())) == 1})
+    return rows
 
 
 def verify_flatreg2(energy, colors, word, n):

@@ -46,6 +46,7 @@ colors differently (``5a 2ba`` and ``5ab 2a`` on the strict energy).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
@@ -407,21 +408,30 @@ def members(tag, energy, colors, budget, degree=None, transform=None):
     return sorted(found, key=lambda pi: canonical_key(pi, energy))
 
 
+def size_counts(tag, energy, colors, word, max_size, degree=None):
+    """Counter of the sizes of the family members with the given non-ground
+    word, from one walk under ``Budget(max_size, len(word) + max_size + 1,
+    word)``.  A Counter, since O- and E- sizes can be negative.
+    """
+    word = tuple(word)
+    budget = Budget(max_size=max_size, max_parts=len(word) + max_size + 1, word=word)
+    found = walk_members(tag, energy, colors, budget, degree=degree)
+    return Counter(partition_size(pi, energy) for pi in found)
+
+
 def count_by_word(tag, energy, colors, word, n, degree=None):
     """Number of family members with the given non-ground word and size n."""
-    word = tuple(word)
-    budget = Budget(max_size=n, max_parts=len(word) + n + 1, word=word)
-    found = walk_members(tag, energy, colors, budget, degree=degree)
-    return sum(1 for pi in found if partition_size(pi, energy) == n)
+    return size_counts(tag, energy, colors, word, n, degree)[n]
 
 
 # ---------------------------------------------------------------------------
 # membership validation
 
 
-def _require(cond, message):
+def _require(cond, message, *args):
+    """Raise InvalidPartitionError unless ``cond``, formatting the message only then."""
     if not cond:
-        raise InvalidPartitionError(message)
+        raise InvalidPartitionError(message % args)
 
 
 def read_degree_one(tag, pi, energy, colors):
@@ -516,7 +526,7 @@ def validate_member(tag, pi, energy, colors, degree=None):
         validate_flat(pi, energy, colors, 2)
     elif tag == FK:
         _require(all(isinstance(p, DegreeK) for p in pi),
-                 "parts must have degree %d" % require_degree(degree))
+                 "parts must have degree %d", require_degree(degree))
         validate_flat(pi, energy, colors, degree)
     elif tag == R2:
         term = Secondary(0, g, g)
@@ -529,18 +539,17 @@ def validate_member(tag, pi, energy, colors, degree=None):
                  "secondary regular partitions avoid the ground color pair")
         for x, y in zip(pi, pi[1:]):
             _require(secondary_regular_rel(x, y, energy, colors),
-                     "R2 relation fails between %r and %r" % (x, y))
+                     "R2 relation fails between %r and %r", x, y)
     elif tag in (O_PLUS, O_MINUS):
         rho = 1 - ground_delta(energy, colors)
         _require(all(isinstance(p, Primary) and p.color != g for p in pi),
                  "parts must be primary with non-ground colors")
         if tag == O_PLUS:
-            _require(all(p.size >= rho for p in pi), "part sizes must be >= %d" % rho)
+            _require(all(p.size >= rho for p in pi), "part sizes must be >= %d", rho)
         else:
-            _require(all(p.size <= rho for p in pi), "part sizes must be <= %d" % rho)
+            _require(all(p.size <= rho for p in pi), "part sizes must be <= %d", rho)
         for x, y in zip(pi, pi[1:]):
-            _require(min_diff_rel(x, y, energy),
-                     "energy relation fails between %r and %r" % (x, y))
+            _require(min_diff_rel(x, y, energy), "energy relation fails between %r and %r", x, y)
     elif tag in (E_PLUS, E_MINUS):
         rho = 1 - ground_delta(energy, colors)
         for p in pi:
@@ -549,13 +558,12 @@ def validate_member(tag, pi, energy, colors, degree=None):
                      "parts must avoid the ground color")
             if tag == E_PLUS:
                 low = p.size if isinstance(p, Primary) else p.half
-                _require(low >= rho, "part %r below the half line" % (p,))
+                _require(low >= rho, "part %r below the half line", p)
             else:
                 top = p.size if isinstance(p, Primary) else p.half + energy.e(p.left, p.right)
-                _require(top <= rho, "part %r above the half line" % (p,))
+                _require(top <= rho, "part %r above the half line", p)
         for x, y in zip(pi, pi[1:]):
-            _require(mixed_rel(x, y, energy),
-                     "mixed relation fails between %r and %r" % (x, y))
+            _require(mixed_rel(x, y, energy), "mixed relation fails between %r and %r", x, y)
     else:
         raise UsageError("unknown family tag %r" % (tag,))
 

@@ -5,8 +5,8 @@ at a fixed q-order; color exponents are unbounded and may be negative while
 a substitution is in flight, but stored q-degrees are always in [0, order].
 
 This module is also the boundary where color words stop being words:
-``gf_from_partitions`` is handed a weight map and from then on the colors
-commute.
+``gf_from_partitions`` weighs each part by its size (or transformed degree)
+and its non-ground colors, and from then on the colors commute.
 
 ``pochhammer_expand`` does not build a series per factor.  It keeps the
 running product as rows by q-degree, and keys each row by one packed int per
@@ -287,52 +287,34 @@ def pochhammer_expand(factors, order, nvars):
     return out
 
 
-def partition_weight(colors, energy, transform=None):
-    """Weight map sending a part to (q-degree, color-exponent vector).
+def gf_from_partitions(partitions, colors, energy, order, transform=None):
+    """Sum of one monomial q^d x^e per partition, truncated at ``order``.
 
-    The q-degree is the part size, transformed when a transformation is
-    given; the exponent vector counts the part's non-ground colors (the
-    ground contributes exponent zero).  Returns (weight, nvars).  Weights
-    are memoized per part, since enumerations repeat parts heavily.
+    d sums the part sizes, or under a transformation each part's
+    ``part_degree``; e counts the parts' non-ground colors, one variable per
+    color of ``colors.non_ground`` (the ground contributes nothing).  Part
+    weights are memoized, since enumerations repeat parts heavily.  A part
+    of negative degree raises UsageError.
     """
     var = {c: i for i, c in enumerate(colors.non_ground)}
-    cache = {}
-
-    def weight(part):
-        got = cache.get(part)
-        if got is not None:
-            return got
-        if transform is None:
-            d = part_size(part, energy)
-        else:
-            d = transform.part_degree(part, energy)
-        exps = [0] * len(var)
-        for c in part_color_seq(part):
-            if c in var:
-                exps[var[c]] += 1
-        got = (d, tuple(exps))
-        cache[part] = got
-        return got
-
-    return weight, len(var)
-
-
-def gf_from_partitions(partitions, weight, order, nvars):
-    """Sum of one monomial per partition, at the given weight map."""
+    nvars = len(var)
+    cache = {}  # part -> (degree, the variable index of each non-ground color)
     acc = {}
     for pi in partitions:
         d = 0
         exps = [0] * nvars
         for p in pi:
-            pd, pe = weight(p)
-            if pd < 0:
-                raise UsageError("negative transformed degree for part %r" % (p,))
-            d += pd
-            for i, e in enumerate(pe):
-                exps[i] += e
+            got = cache.get(p)
+            if got is None:
+                pd = part_size(p, energy) if transform is None else transform.part_degree(p, energy)
+                if pd < 0:
+                    raise UsageError("negative transformed degree for part %r" % (p,))
+                got = cache[p] = (pd, [var[c] for c in part_color_seq(p) if c in var])
+            d += got[0]
+            for i in got[1]:
+                exps[i] += 1
         if d > order:
             continue
         key = (d, tuple(exps))
         acc[key] = acc.get(key, 0) + 1
     return TruncatedSeries(order, nvars, acc)
-

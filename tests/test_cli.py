@@ -14,6 +14,11 @@ FLAT_TEXT = "6a 5a 5b 4c 4c 4c 4b 4a 3c 3a 2a 1c 1c 1b 1a 1b 1b 0c"
 REGULAR_TEXT = "10a 8a 8b 7b 5a 4a 3a 2b 1a 1b 1b 0c"
 
 
+# not minimal (eps(b, a) = 2): the word ba at size 4 has two F2 and two F1
+# members but one R1 member
+NON_MINIMAL_TEXT = "a b g\ng\n0 0 1\n2 0 1\n0 0 0\n"
+
+
 @pytest.fixture()
 def energies(tmp_path):
     mixed = tmp_path / "mixed.energy"
@@ -310,8 +315,9 @@ def test_shared_parser_matches_fresh_parser(capsys, energies, monkeypatch):
     assert shared[0][2].startswith("usage: partition-forge count")
 
 
-# (argv, exit code, stdout or the message of the one stderr line); "{mixed}"
-# and "{strict}" stand for the energy files, "{{" and "}}" for braces
+# (argv, exit code, stdout or the message of the one stderr line, or for
+# exit code 1 a line of stdout); "{mixed}", "{strict}" and "{non_minimal}"
+# stand for the energy files, "{{" and "}}" for braces
 EXIT_CODES = (
     ("enumerate --family F1 --energy {strict} --max-size 1", 0, "0c\n1a 0c\n1b 0c\n"),
     ("enumerate --family Fk --energy {strict} --max-size 1", 2,
@@ -343,6 +349,8 @@ EXIT_CODES = (
      "degree-k partitions need degree >= 1, got -1"),
     ("verify-deg2 --energy {strict} --word a --max-size 1", 0, None),
     ("verify-deg2 --energy {strict} --word a --max-size -1", 2, "max_size must be non-negative"),
+    ("verify-deg2 --energy {non_minimal} --word ba --max-size 4", 1,
+     "4         2     2     1     1     1     2   NO\n"),
     ("character --family A2n2 --rank 2 --order 2", 0,
      "A2n2 rank 2 to order 2: paths agree, product matches\n"),
     ("character --family A2n2 --rank 2 --order 31", 2, "--order must be at most 30, got 31"),
@@ -354,13 +362,17 @@ EXIT_CODES = (
 
 
 @pytest.mark.parametrize("command,code,expected", EXIT_CODES)
-def test_exit_codes(capsys, energies, command, code, expected):
+def test_exit_codes(capsys, energies, tmp_path, command, code, expected):
     mixed, strict = energies
-    argv = shlex.split(command.format(mixed=mixed, strict=strict))
+    non_minimal = tmp_path / "non_minimal.energy"
+    non_minimal.write_text(NON_MINIMAL_TEXT)
+    argv = shlex.split(command.format(mixed=mixed, strict=strict, non_minimal=non_minimal))
     got, out, err = run(capsys, *argv)
     assert got == code
     if code == 0:
         assert err == "" and (expected is None or out == expected)
+    elif code == 1:
+        assert err == "" and expected in out and out.endswith("verdict: FAIL\n")
     else:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert expected in err

@@ -18,6 +18,7 @@ from partition_forge.core import (
     UsageError,
     epsilon2,
     epsilon2_prime,
+    epsilon_k,
     delta_exception,
     flat_rel,
     flat_sizes,
@@ -292,6 +293,27 @@ def test_degree_two_energies_reject_bad_colors():
         epsilon2(energy, 0, 1, 9, 0)
     with pytest.raises(UsageError):
         epsilon2_prime(energy, colors, -1, 1, 0, 0)
+
+
+# (function, arguments after the energy, message) on the three-color strict
+# energy: epsilon2 is epsilon_k at k = 2, so both name the first bad index
+BAD_COLOR_INDICES = (
+    (epsilon_k, (1, (-1,), (1,)), "invalid color index -1"),
+    (epsilon_k, (1, (0,), (5,)), "invalid color index 5"),
+    (epsilon_k, (3, (0, 1, 3), (0, 1, 2)), "invalid color index 3"),
+    (epsilon_k, (2, (0,), (5, 5)), "color words must both have length 2"),
+    (epsilon2, (5, 1, 0, 0), "invalid color index 5"),
+    (epsilon2, (0, 1, 9, -1), "invalid color index 9"),
+    (epsilon2, (0, 1, 0, -1), "invalid color index -1"),
+)
+
+
+@pytest.mark.parametrize("fn,args,message", BAD_COLOR_INDICES)
+def test_energy_words_reject_bad_color_indices(fn, args, message):
+    colors, energy = strict_energy()
+    with pytest.raises(UsageError) as info:
+        fn(energy, *args)
+    assert str(info.value) == message
 
 
 def _brute_splits(label, names, exclude):

@@ -33,9 +33,10 @@ def test_epsilon_k_degenerate_cases():
         for y in range(3):
             for d in range(3):
                 for dp in range(3):
-                    assert epsilon_k(energy, 2, (x, y), (d, dp)) == epsilon2(
-                        energy, x, y, d, dp
-                    )
+                    # epsilon2 is epsilon_k at k = 2; the reference is its formula
+                    want = energy.e(x, y) + 2 * energy.e(y, d) + energy.e(d, dp)
+                    assert epsilon_k(energy, 2, (x, y), (d, dp)) == want
+                    assert epsilon2(energy, x, y, d, dp) == want
 
 
 def test_epsilon_k_cube():

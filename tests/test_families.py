@@ -14,12 +14,14 @@ from partition_forge.core import (
     partition_size,
     secondary_regular_rel,
 )
+from partition_forge.deg2 import add_ground, rmap, rmap_inv
 from partition_forge.families import (
     Budget,
     canonical_key,
     count_by_word,
     flat_walk,
     members,
+    size_counts,
     validate_member,
 )
 
@@ -135,6 +137,24 @@ def test_o_e_equinumerosity_small():
                 assert ec[key] == cnt, (colors, energy, key)
 
 
+def test_lower_half_line_counts_equal_a_filter_of_members():
+    # O- and E- sizes reach below zero: one walk per word counts what a
+    # word-free enumeration holds for that word, at every size
+    negative = 0
+    for colors, energy in (mixed_energy(), strict_energy()):
+        for tag in ("O-", "E-"):
+            found = members(tag, energy, colors, Budget(3, 4))
+            for text in ("", "a", "b", "ab", "ba", "bb", "aab", "bab"):
+                word = w(colors, text)
+                want = Counter(partition_size(pi, energy) for pi in found
+                               if color_word(pi, colors) == word)
+                assert size_counts(tag, energy, colors, word, 3) == want
+                for n in range(4):
+                    assert count_by_word(tag, energy, colors, word, n) == want[n]
+                negative += sum(cnt for n, cnt in want.items() if n < 0)
+    assert negative > 0
+
+
 def test_count_by_word_edges():
     colors, energy = mixed_energy()
     assert count_by_word("F1", energy, colors, (), 0) == 1
@@ -177,6 +197,59 @@ def test_validate_member_rejects():
         validate_member("F1", (Primary(5, a), Primary(0, colors.ground)), energy, colors)
     with pytest.raises(InvalidPartitionError):
         validate_member("R1", (Primary(1, a),), energy, colors)  # missing terminal
+
+
+# (tag, partition on the strict energy, message); a = 0, b = 1, ground c = 2,
+# rho = 1.  The precedence rows fail two checks and name the one made first.
+S, P = Secondary, Primary
+REGULAR_MESSAGES = (
+    ("R2", (), "grounded partition cannot be empty"),
+    ("R2", (P(0, 2),), "parts must be secondary"),
+    ("R2", (P(0, 2), S(1, 0, 1)), "parts must be secondary"),
+    ("R2", (S(1, 0, 1),), "terminal part must be the zero ground part"),
+    ("R2", (S(1, 2, 2),), "terminal part must be the zero ground part"),
+    ("R2", (S(0, 2, 2), S(0, 2, 2)), "part before the terminal cannot be the zero ground part"),
+    ("R2", (S(3, 2, 2), S(0, 2, 2)), "secondary regular partitions avoid the ground color pair"),
+    ("R2", (S(3, 2, 2), S(0, 0, 1), S(0, 2, 2)),
+     "secondary regular partitions avoid the ground color pair"),
+    ("R2", (S(0, 0, 1), S(0, 2, 2)), "R2 relation fails between "
+     "Secondary(half=0, left=0, right=1) and Secondary(half=0, left=2, right=2)"),
+    ("O+", (S(1, 0, 1),), "parts must be primary with non-ground colors"),
+    ("O+", (P(0, 0), P(1, 2)), "parts must be primary with non-ground colors"),
+    ("O+", (P(0, 0),), "part sizes must be >= 1"),
+    ("O+", (P(1, 0), P(0, 0)), "part sizes must be >= 1"),
+    ("O+", (P(1, 0), P(1, 0)),
+     "energy relation fails between Primary(size=1, color=0) and Primary(size=1, color=0)"),
+    ("O-", (P(2, 0),), "part sizes must be <= 1"),
+    ("O-", (P(0, 0), P(0, 0)),
+     "energy relation fails between Primary(size=0, color=0) and Primary(size=0, color=0)"),
+    ("E+", (DegreeK(1, (0, 1, 0)),), "parts must be primary or secondary"),
+    ("E+", (S(1, 0, 2),), "parts must avoid the ground color"),
+    ("E+", (P(0, 0),), "part Primary(size=0, color=0) below the half line"),
+    ("E+", (S(0, 0, 1),), "part Secondary(half=0, left=0, right=1) below the half line"),
+    ("E+", (P(0, 0), P(1, 2)), "part Primary(size=0, color=0) below the half line"),
+    ("E+", (P(2, 0), S(0, 0, 1)), "part Secondary(half=0, left=0, right=1) below the half line"),
+    ("E+", (P(1, 0), P(1, 0)),
+     "mixed relation fails between Primary(size=1, color=0) and Primary(size=1, color=0)"),
+    ("E-", (P(2, 0),), "part Primary(size=2, color=0) above the half line"),
+    ("E-", (S(1, 0, 1),), "part Secondary(half=1, left=0, right=1) above the half line"),
+    ("E-", (P(1, 0), P(2, 1)), "part Primary(size=2, color=1) above the half line"),
+    ("E-", (P(0, 0), P(0, 0)),
+     "mixed relation fails between Primary(size=0, color=0) and Primary(size=0, color=0)"),
+)
+
+
+@pytest.mark.parametrize("tag,pi,message", REGULAR_MESSAGES)
+def test_regular_messages_and_precedence(tag, pi, message):
+    # the maps that read R2, O+ and E+ members give the validator's message
+    colors, energy = strict_energy()
+    checks = [validate_member]
+    checks += {"R2": [rmap_inv], "O+": [add_ground], "E+": [rmap]}.get(tag, [])
+    for check in checks:
+        args = (tag, pi) if check is validate_member else (pi,)
+        with pytest.raises(InvalidPartitionError) as info:
+            check(*args, energy, colors)
+        assert str(info.value) == message
 
 
 def test_grounded_families_need_compatible_energy():

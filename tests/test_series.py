@@ -1,17 +1,17 @@
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from partition_forge import classic
-from partition_forge.characters import build_config
-from partition_forge.core import ColorSystem, EnergyMatrix, SizeTransform, UsageError
-from partition_forge.families import Budget, members
+from partition_forge.characters import build_config, keith_xiong_setup, siladic_setup
+from partition_forge.core import ColorSystem, EnergyMatrix, SizeTransform, UsageError, color_word
+from partition_forge.families import Budget, members, walk_members
 from partition_forge.series import (
     ProductFactor,
     TruncatedSeries,
     gf_from_partitions,
-    partition_weight,
     pochhammer_expand,
 )
 
@@ -91,14 +91,15 @@ def test_glaisher_product_three_ways(m):
 
 
 def test_gf_from_partitions_empty():
-    assert gf_from_partitions((), lambda p: (0, ()), 5, 0) == TruncatedSeries.zero(5, 0)
+    colors = ColorSystem(("g",), 0)
+    energy = EnergyMatrix(((0,),))
+    assert gf_from_partitions((), colors, energy, 5) == TruncatedSeries.zero(5, 0)
 
 
 def test_gf_counts_single_part_flats():
     colors, energy = mixed_energy()
-    weight, nvars = partition_weight(colors, energy)
     flats = members("F1", energy, colors, Budget(2, 3))
-    series = gf_from_partitions(flats, weight, 2, nvars)
+    series = gf_from_partitions(flats, colors, energy, 2)
     singles = [
         pi for pi in flats
         if len(pi) == 2 and pi[0].size == 1
@@ -111,9 +112,8 @@ def test_strict_single_color_gf_matches_product():
     # parts with the color exponent marking the number of parts
     colors = ColorSystem(("x", "g"), 1)
     energy = EnergyMatrix(((1, 1), (0, 0)))
-    weight, nvars = partition_weight(colors, energy)
     flats = members("R1", energy, colors, Budget(12, 13))
-    lhs = gf_from_partitions(flats, weight, 12, nvars)
+    lhs = gf_from_partitions(flats, colors, energy, 12)
     rhs = pochhammer_expand((ProductFactor(1, (1,), 1, 1),), 12, 1)
     for d in range(13):
         for e in range(5):
@@ -124,10 +124,30 @@ def test_negative_transformed_degree_rejected():
     colors = ColorSystem(("x", "g"), 1)
     energy = EnergyMatrix(((1, 1), (0, 0)))
     bad = SizeTransform(1, (-5, 0))
-    weight, nvars = partition_weight(colors, energy, transform=bad)
     flats = members("R1", energy, colors, Budget(4, 3))
     with pytest.raises(UsageError):
-        gf_from_partitions(flats, weight, 4, nvars)
+        gf_from_partitions(flats, colors, energy, 4, transform=bad)
+
+
+@pytest.mark.parametrize("setup,tags,order", [
+    (keith_xiong_setup(3), ("F1", "R1"), 12),
+    (siladic_setup(), ("R2", "F2", "O+"), 16),
+])
+def test_transformed_gf_equals_a_sum_of_part_degrees(setup, tags, order):
+    # the reference weighs each member part by part with part_degree and
+    # counts its non-ground colors in the order of colors.non_ground
+    colors, energy, transform = setup
+    var = {c: i for i, c in enumerate(colors.non_ground)}
+    for tag in tags:
+        found = walk_members(tag, energy, colors, Budget(order, order + 1), transform=transform)
+        want = Counter()
+        for pi in found:
+            exps = [0] * len(var)
+            for c in color_word(pi, colors):
+                exps[var[c]] += 1
+            want[(sum(transform.part_degree(p, energy) for p in pi), tuple(exps))] += 1
+        got = gf_from_partitions(found, colors, energy, order, transform)
+        assert got.nvars == len(var) and got.coeffs == dict(want)
 
 
 def test_reciprocal_needs_positive_offset():
