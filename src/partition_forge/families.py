@@ -10,30 +10,33 @@ explicit stack of child generators, so no budget can overflow the Python
 stack.  A family supplies only its successor rule: ``children(state)``
 yields ``(part, next_state, keep)`` for every admissible next part, where
 ``keep`` says whether the path ending in that part is emitted.  There are
-three rules:
+two rules:
 
 - flat (F1, F2, Fk and both character routes): one rule for every degree
   k.  A flat partition is a grounded sequence of k-letter color words
   whose sizes the energy forces, so ``flat_walk`` runs right to left,
   prepending words and building each part as it is reached: primary parts
   at k = 1, secondary parts for F2, degree-k parts for Fk;
-- half line (O+, O-, E+, E- and the body of R1): non-ground parts on one
-  side of rho = 1 - delta_g, walked left to right over the admissible next
-  sizes with remaining-size pruning.  O is E's primary branch with a gap of
-  at least eps where E needs eps + 1, and no secondary parts;
-- R2: secondary parts over every color pair but the ground pair, left to
-  right, pruned by exact tail tables computed once per call.  For each
-  pair p = (d, d') and tail length j, ``need[j][p]`` is the least half a
-  part of p can have and still be followed by j more parts and the
-  terminal: eps(d', g) at j = 0, then the least need[j-1][q] + gap(p, q)
-  over the next pair q, where gap is the drop in half the relation
-  requires.  ``least[j]`` bounds the charge of those j parts from below:
-  the sum over their positions of the least charge any pair can have
-  there.  A child (m, p) is generated only if some j within the part cap
-  has m >= need[j][p] and its charge plus least[j] inside the budget.  The
-  tables assume no signs, since a negative energy lets halves rise and a
-  transform's shifts can make charges negative.  On the catalog and
-  shipped energies the walk generates one child per member.
+- regular (R1, O+, O-, E+, E- and R2): ``_regular`` runs left to right.  A
+  part is a word w with a base b, of size len(w)*b + inner(w), inner(w)
+  the energy inside w.  The words are the non-ground colors for R1 and O,
+  those and the non-ground pairs for E, and every pair but the ground pair
+  for R2.  ``drops[p][q]`` is the least drop in size from a part of word p
+  to the next, of word q: eps(c, d) between primary parts (plus one in E),
+  eps(c, d) + eps(d, d') from a primary to a secondary part, eps(l, r) +
+  eps(r, d) + 1 back, and eps'_2 = eps_2 + 2 delta between secondary parts.
+  On the upper half line (R1's body, O+, E+) a size is at least
+  len(w)*rho + inner(w), rho = 1 - delta_g, and the budget caps it; on the
+  lower one (O-, E-) it is at most len(w)*rho - inner(w), and the budget
+  bounds |total size|.  R2 has no floor; exact tail tables on sizes prune
+  it instead.  ``need[j][p]`` is the least size of a part of word p that j
+  more parts and the terminal can follow: the drop to the terminal at
+  j = 0, then the least need[j-1][q] + drops[p][q].  ``least[j]`` bounds
+  the charge of those j parts from below, by the least charge any word can
+  have at each position.  A child is generated only if some j within the
+  part cap has its size at least need[j][p] and its charge plus least[j]
+  inside the budget.  On the catalog and shipped energies the R2 walk
+  generates one child per member.
 
 Each walk visits a member once, so no deduplication is needed.
 ``walk_members`` returns the members in walk order, for callers that only
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .core import (
@@ -211,167 +215,123 @@ def flat_walk(energy, colors, budget, degree=1, make=Primary, transform=None, st
 
 
 # ---------------------------------------------------------------------------
-# half-line rule (O+, O-, E+, E- and the body of R1)
+# regular rule (R1, O+, O-, E+, E- and R2)
 
 
-def _half_line(energy, colors, budget, plus=True, secondary=False, transform=None):
-    """Non-ground parts on one half line: primary parts, and with
-    ``secondary`` also secondary parts.
+@lru_cache(maxsize=64)
+def _word_table(tag, energy, colors):
+    """A regular family's row ``(index, len(w), inner(w), part type, w, letters)``
+    per word w in walk order, and its drops (R2's to the terminal last)."""
+    g, ng, ev = colors.ground, colors.non_ground, energy.values
+    mixed = tag in (E_PLUS, E_MINUS)
+    if tag == R2:
+        # a one-color system has no pairs, so only the terminal part is left
+        words = [w for w in product(range(colors.n), repeat=2) if w != (g, g)]
+    else:
+        words = [(c,) for c in ng] + (list(product(ng, repeat=2)) if mixed else [])
 
-    Upward (``plus``) every part lies at or above rho = 1 - delta_g, a
-    secondary part by its lower half.  Downward every part lies at or below
-    rho, a secondary part by its upper half; sizes may be negative, the
-    budget is read as |total size| <= max_size, and the energy must be
-    non-negative so that sizes weakly decrease.
-    """
-    rho = 1 - ground_delta(energy, colors)
-    if not plus:
-        if transform is not None:
-            raise UsageError("transforms are not supported for half-line-down enumeration")
-        if any(v < 0 for row in energy.values for v in row):
-            raise UsageError("half-line-down enumeration needs a non-negative energy")
-    word = budget.word
-    wlen = len(word) if word is not None else 0
-    sc = transform.scale if transform else 1
-    sh = transform.shifts if transform else (0,) * colors.n
-    ev = energy.values
-    max_size = budget.max_size
-    non_ground = colors.non_ground
-    pairs = tuple(product(non_ground, repeat=2))
-    gap = 1 if secondary else 0  # E's primary parts differ by more than eps, O's by at least eps
+    def drop(p, q):
+        step = ev[p[-1]][q[0]]
+        if len(p) == 1:
+            return step + (ev[q[0]][q[1]] if len(q) == 2 else mixed)  # E: more than eps
+        if len(q) == 1:
+            return ev[p[0]][p[1]] + step + 1
+        # eps'_2 = eps_2 + 2 delta, and delta is zero off the ground
+        delta = delta_exception(energy, colors, *p, *q) if g in p + q else 0
+        return ev[p[0]][p[1]] + 2 * step + ev[q[0]][q[1]] + 2 * delta
 
-    def children(state):
-        prev, total, widx = state
-        for d in non_ground if word is None else word[widx : widx + 1]:
-            if plus:
-                lo, hi = rho, (max_size - total - sh[d]) // sc
-            else:
-                # sizes are weakly decreasing, so a too-negative total never recovers
-                lo, hi = -max_size - total, rho
-            if prev is None:
-                pass
-            elif type(prev) is Primary:
-                hi = min(hi, prev.size - ev[prev.color][d] - gap)
-            else:
-                hi = min(hi, 2 * prev.half - ev[prev.right][d] - 1)
-            spelt = word is None or widx + 1 == wlen
-            for k in range(lo, hi + 1):
-                charge = sc * k + sh[d]
-                if plus and charge < 0:
-                    raise UsageError("negative transformed degree in enumeration")
-                part = Primary(k, d)
-                t = total + charge
-                yield part, (part, t, widx + 1), spelt and (plus or -max_size <= t <= max_size)
-        if not secondary:
-            return
-        if word is None:
-            sec = pairs
-        else:
-            sec = (word[widx : widx + 2],) if widx + 2 <= wlen else ()
-        for d, dp in sec:
-            edd = ev[d][dp]
-            if plus:
-                lo = rho
-                hi = ((max_size - total - sh[d] - sh[dp]) // sc - edd) // 2
-            else:
-                lo = (-max_size - total - edd + 1) // 2
-                hi = rho - edd
-            if prev is None:
-                pass
-            elif type(prev) is Primary:
-                hi = min(hi, (prev.size - ev[prev.color][d] - 2 * edd) // 2)
-            else:
-                hi = min(hi, prev.half - ev[prev.right][d] - edd)
-            spelt = word is None or widx + 2 == wlen
-            for m in range(lo, hi + 1):
-                charge = sc * (2 * m + edd) + sh[d] + sh[dp]
-                if plus and charge < 0:
-                    raise UsageError("negative transformed degree in enumeration")
-                part = Secondary(m, d, dp)
-                t = total + charge
-                yield part, (part, t, widx + 2), spelt and (plus or -max_size <= t <= max_size)
-
-    return _walk(children, (None, 0, 0), budget)
+    rows = tuple((i, len(w), ev[w[0]][w[-1]] * (len(w) - 1), Primary if len(w) == 1 else Secondary,
+                  w, tuple(filter(g.__ne__, w))) for i, w in enumerate(words))
+    targets = words + [(g, g)] if tag == R2 else words
+    return rows, tuple(tuple(drop(p, q) for q in targets) for p in words)
 
 
-# ---------------------------------------------------------------------------
-# R2 rule
-
-
-def _r2_members(energy, colors, budget, transform=None):
-    """Secondary regular partitions: all color pairs but the ground pair."""
+def _regular(tag, energy, colors, budget, transform=None):
+    """Every member of R1, O+, O-, E+, E- or R2 under a budget, in walk
+    order: one walk over part words and their drop table (module docstring)."""
     g = colors.ground
-    word = budget.word
-    wlen = len(word) if word is not None else 0
+    rho = 1 - ground_delta(energy, colors)
+    lower = tag in (O_MINUS, E_MINUS)
+    if lower and transform is not None:
+        raise UsageError("transforms are not supported for half-line-down enumeration")
+    if lower and any(v < 0 for row in energy.values for v in row):
+        raise UsageError("half-line-down enumeration needs a non-negative energy")
+    rows, drops = _word_table(O_PLUS if tag == R1 else tag, energy, colors)
     sc = transform.scale if transform else 1
-    sh = transform.shifts if transform else (0,) * colors.n
-    e = energy.e
-    # a one-color system has no pairs, so only the terminal part is left
-    pairs = [(d, dp) for d, dp in product(range(colors.n), repeat=2) if (d, dp) != (g, g)]
-    labels = [tuple(c for c in pair if c != g) for pair in pairs]
-    eps = [e(d, dp) for d, dp in pairs]
-    base = [sh[d] + sh[dp] for d, dp in pairs]
-    # gap[p][q]: the least drop in half from a part of pair p to one of pair q
-    gap = [[e(dp, d) + e(d, dq) + delta_exception(energy, colors, c, dp, d, dq)
-            for d, dq in pairs] for c, dp in pairs]
-    max_parts, max_size = budget.max_parts, budget.max_size
-    span = range(len(pairs))
-
-    # Exact tail tables.  need[p] is the least half of a part of pair p that
-    # j more parts and the terminal can follow; least bounds the charge of
-    # those j parts from below.  fronts[j][p] keeps the pairs (need, least)
-    # over tail lengths up to j that no other length beats on both, by
-    # rising need.
-    need = last = [e(dp, g) for _, dp in pairs]  # the terminal part's relation
-    least = 0
-    front = [((need[p], 0),) for p in span]
-    fronts = [front]
-    for _ in range(1, max_parts):
-        least += min((sc * (2 * need[q] + eps[q]) + base[q] for q in span), default=0)
-        need = [min(need[q] + gap[p][q] for q in span) for p in span]
-        front = [_pareto_add(front[p], need[p], least) for p in span]
-        fronts.append(front)
+    shifts = [sum(map(transform.shifts.__getitem__, w)) if transform else 0 for *_, w, _ in rows]
+    word, max_size, max_parts = budget.word, budget.max_size, budget.max_parts
+    wlen = len(word) if word is not None else 0
+    if word is not None:  # spell[u]: the words that spell the budget's word on from letter u
+        spell = [[r for r in rows if word[u : u + len(r[-1])] == r[-1]] for u in range(wlen + 1)]
+    if tag == R2:  # the tail tables
+        span = range(len(rows))
+        need = [row[-1] for row in drops]  # the drop to the terminal
+        ends = [(end - inside) // 2 for end, (_, _, inside, *_) in zip(need, rows)]  # least base
+        least, front = 0, [((need[p], 0, None),) for p in span]
+        fronts = [front]
+        for _ in range(1, max_parts):
+            least += min((sc * need[q] + shifts[q] for q in span), default=0)
+            need = [min(need[q] + drops[p][q] for q in span) for p in span]
+            front = [_pareto_add(front[p], need[p], least) for p in span]
+            fronts.append(front)
+    else:
+        # every part may end a path, so the one point is the upper floor
+        ends = None
+        fronts = [[((k * rho + inside, 0, None),) for _, k, inside, *_ in rows]] * max_parts
+        roofs = [k * rho - inside for _, k, inside, *_ in rows]
+    raising = tag in (R1, O_PLUS, E_PLUS)  # R2's charges may go negative under a transform
+    new = tuple.__new__
 
     def children(state):
-        prev, total, widx, depth = state
+        # the word and size of the part before (None at the root), the
+        # budget spent, the word letters spelt and the parts so far
+        prev, above, total, widx, depth = state
         room = max_size - total
-        for p in span:
-            nw = widx
-            if word is not None:
-                nw = widx + len(labels[p])
-                if word[widx:nw] != labels[p]:
-                    continue
-            slack = max_parts - depth - 1
-            if word is not None:
-                slack = min(slack, wlen - nw)  # every part spells a letter
-            top = None if prev is None else prev[0] - gap[prev[1]][p]
+        limits = drops[prev] if prev is not None else None
+        slack = max_parts - depth - 1
+        for i, k, inside, make, w, letters in rows if word is None else spell[widx]:
+            nw = widx + len(letters)
             spelt = word is None or nw == wlen
-            d, dp = pairs[p]
-            options = fronts[slack][p]
-            # the halves m with some tail length whose need m meets and whose
-            # least charge the budget still covers
-            for f, (lo, tail) in enumerate(options):
-                hi = ((room - tail - base[p]) // sc - eps[p]) // 2
-                if f + 1 < len(options):
-                    hi = min(hi, options[f + 1][0] - 1)
-                if top is not None:
-                    hi = min(hi, top)
-                for m in range(lo, hi + 1):
-                    t = total + sc * (2 * m + eps[p]) + base[p]
-                    yield (Secondary(m, d, dp), ((m, p), t, nw, depth + 1),
-                           spelt and m >= last[p] and t <= max_size)
+            j = slack if word is None else min(slack, wlen - nw)  # every part spells a letter
+            # lower sizes weakly decrease, so a too-negative total never recovers
+            points = ((-max_size - total, 0, None),) if lower else fronts[j][i]
+            top = None if limits is None else above - limits[i]
+            shift = shifts[i]
+            # the sizes with some tail length whose need they meet, below the
+            # next need, and whose least charge the budget still covers
+            for lo, tail, below in points:
+                hi = roofs[i] if lower else (room - tail - shift) // sc
+                if below is not None and below < hi:
+                    hi = below
+                if top is not None and top < hi:
+                    hi = top
+                first, last = -((inside - lo) // k), (hi - inside) // k
+                if first > last:
+                    continue
+                if raising and sc * (k * first + inside) + shift < 0:
+                    raise UsageError("negative transformed degree in enumeration")
+                # a path may end past the drop to the terminal, within the budget
+                kept = first if ends is None else max(first, ends[i])
+                cap = ((room - shift) // sc - inside) // k
+                for b in range(first, last + 1):
+                    size = k * b + inside
+                    # a part is the tuple of its base and its colors
+                    yield (new(make, (b,) + w), (i, size, total + sc * size + shift, nw, depth + 1),
+                           spelt and kept <= b <= cap)
 
-    term = (Secondary(0, g, g),)
-    return [pi + term for pi in _walk(children, (None, 0, 0, 0), budget)]
+    term = {R1: (Primary(0, g),), R2: (Secondary(0, g, g),)}.get(tag, ())
+    return [pi + term for pi in _walk(children, (None, 0, 0, 0, 0), budget)]
 
 
 def _pareto_add(front, need, least):
-    """A (need, least) front, by rising need and falling least, with one point added."""
+    """A front of points (need, least, below), by rising need and falling least,
+    with one point added; below is the greatest size under the next need."""
     out = []
-    for point in sorted(front + ((need, least),)):
+    for point in sorted([p[:2] for p in front] + [(need, least)]):
         if not out or point[1] < out[-1][1]:
             out.append(point)
-    return tuple(out)
+    return (tuple((lo, tail, nxt[0] - 1) for (lo, tail), nxt in zip(out, out[1:]))
+            + ((*out[-1], None),))
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +351,8 @@ def walk_members(tag, energy, colors, budget, degree=None, transform=None):
         if transform is not None:
             raise UsageError("transforms are not supported for degree-k enumeration")
         return flat_walk(energy, colors, budget, degree, DegreeK)
-    if tag == R1:
-        term = (Primary(0, colors.ground),)
-        return [pi + term for pi in _half_line(energy, colors, budget, transform=transform)]
-    if tag == R2:
-        return _r2_members(energy, colors, budget, transform=transform)
-    if tag in (O_PLUS, O_MINUS, E_PLUS, E_MINUS):
-        return list(_half_line(energy, colors, budget, plus=tag in (O_PLUS, E_PLUS),
-                               secondary=tag in (E_PLUS, E_MINUS), transform=transform))
+    if tag in (R1, R2, O_PLUS, O_MINUS, E_PLUS, E_MINUS):
+        return _regular(tag, energy, colors, budget, transform)
     raise UsageError("unknown family tag %r" % (tag,))
 
 
@@ -420,8 +374,9 @@ def size_counts(tag, energy, colors, word, max_size, degree=None):
 
 
 def count_by_word(tag, energy, colors, word, n, degree=None):
-    """Number of family members with the given non-ground word and size n."""
-    return size_counts(tag, energy, colors, word, n, degree)[n]
+    """Number of family members with the given non-ground word and size n,
+    from the walk at |n|, since O- and E- sizes can be negative."""
+    return size_counts(tag, energy, colors, word, abs(n), degree)[n]
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,13 @@ def strict_energy():
     return parse_energy(STRICT_TEXT)
 
 
-def small_energies(max_colors=3):
-    """Every minimal ground-compatible energy on at most max_colors colors.
+def small_energies(max_colors=3, values=(0, 1)):
+    """Every ground-compatible energy on at most max_colors colors whose
+    entries between non-ground colors take the given values; the default
+    values give every minimal one.
 
     The ground is always the last color.  Counts: 1 one-color, 4 two-color,
-    32 three-color configurations.
+    32 three-color configurations for two values.
     """
     out = []
     for n in range(1, max_colors + 1):
@@ -42,7 +44,7 @@ def small_energies(max_colors=3):
         colors = ColorSystem(names, m)
         deltas = (0, 1) if m else (0,)
         for delta in deltas:
-            for block in product((0, 1), repeat=m * m):
+            for block in product(values, repeat=m * m):
                 rows = [[0] * n for _ in range(n)]
                 for i in range(m):
                     for j in range(m):

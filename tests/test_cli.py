@@ -323,6 +323,8 @@ EXIT_CODES = (
     ("enumerate --family Fk --energy {strict} --max-size 1", 2,
      "degree-k partitions need degree >= 1, got None"),
     ("count --family F2 --energy {strict} --word ab --size 5", 0, "2\n"),
+    # O- sizes reach below zero: 0a -2b and 1a -3b
+    ("count --family O- --energy {strict} --word ab --size -2", 0, "2\n"),
     ("count --family Fk --energy {strict} --word a --size 1", 2,
      "degree-k partitions need degree >= 1, got None"),
     ("omega --energy {mixed} --in '1c 1a 0c'", 0, "2a 0c\n"),

@@ -186,6 +186,41 @@ def test_delta_exception_patterns():
                             assert cp == g and d == g and c != g and dp != g
 
 
+def test_relations_read_on_sizes():
+    # each regular relation is a least drop in size from a part to the next:
+    # eps for primary parts, a table of the four kinds for mixed parts, and
+    # eps'_2 for secondary parts, where eps'_2 = eps_2 off the ground
+    for colors, energy in small_energies() + small_energies(values=(0, 2))[::4]:
+        e, n = energy.e, colors.n
+        primary = [Primary(b, c) for c in range(n) for b in range(-2, 3)]
+        secondary = [Secondary(b, c, d) for c in range(n) for d in range(n) for b in range(-2, 3)]
+
+        def drop(x, y):
+            return part_size(x, energy) - part_size(y, energy)
+
+        def mixed_least(x, y):
+            if isinstance(x, Primary):
+                if isinstance(y, Primary):
+                    return e(x.color, y.color) + 1
+                return e(x.color, y.left) + e(y.left, y.right)
+            if isinstance(y, Primary):
+                return e(x.left, x.right) + e(x.right, y.color) + 1
+            return epsilon2(energy, x.left, x.right, y.left, y.right)
+
+        for x in primary:
+            for y in primary:
+                assert min_diff_rel(x, y, energy) == (drop(x, y) >= e(x.color, y.color))
+        for x in primary + secondary:
+            for y in primary + secondary:
+                assert mixed_rel(x, y, energy) == (drop(x, y) >= mixed_least(x, y)), (x, y)
+        for x in secondary:
+            for y in secondary:
+                least = epsilon2_prime(energy, colors, x.left, x.right, y.left, y.right)
+                assert secondary_regular_rel(x, y, energy, colors) == (drop(x, y) >= least)
+                if colors.ground not in (x.left, x.right, y.left, y.right):
+                    assert least == epsilon2(energy, x.left, x.right, y.left, y.right)
+
+
 def test_ground_comparability():
     # parts with the ground color always compare with every other part
     for colors, energy in small_energies():

@@ -10,6 +10,8 @@ from partition_forge.core import (
     SizeTransform,
     UsageError,
     color_word,
+    min_diff_rel,
+    mixed_rel,
     parse_partition,
     partition_size,
     secondary_regular_rel,
@@ -159,6 +161,15 @@ def test_count_by_word_edges():
     colors, energy = mixed_energy()
     assert count_by_word("F1", energy, colors, (), 0) == 1
     assert count_by_word("F1", energy, colors, (), 3) == 0
+    # O- and E- sizes reach below zero (0a -2b and 1a -3b; -3ab, 0a -3b and
+    # 1a -4b), and an upper family has no member there
+    colors, energy = strict_energy()
+    ab = w(colors, "ab")
+    assert count_by_word("O-", energy, colors, ab, -2) == 2
+    assert count_by_word("E-", energy, colors, ab, -3) == 3
+    assert count_by_word("E+", energy, colors, ab, -2) == 0
+    assert count_by_word("O+", energy, colors, (), 0) == 1
+    assert count_by_word("E+", energy, colors, ab, 0) == 0
 
 
 def test_zero_size_parts_need_length_cap():
@@ -299,47 +310,85 @@ def test_flat_walk_equals_members():
                 validate_member(tag, pi, energy, colors, degree=degree)
 
 
-def _r2_brute_force(energy, colors, budget, halves):
-    """R2 by filtering: every sequence of secondary parts with halves in
-    ``halves``, judged by the budget and ``validate_member``.
+# the relation every pair of neighbours of a regular family's member meets
+NEIGHBOURS = {
+    "R1": lambda x, y, energy, colors: min_diff_rel(x, y, energy),
+    "O+": lambda x, y, energy, colors: min_diff_rel(x, y, energy),
+    "O-": lambda x, y, energy, colors: min_diff_rel(x, y, energy),
+    "E+": lambda x, y, energy, colors: mixed_rel(x, y, energy),
+    "E-": lambda x, y, energy, colors: mixed_rel(x, y, energy),
+    "R2": secondary_regular_rel,
+}
 
-    A sequence with two consecutive unrelated parts is no member, so
-    sequences grow only through related parts.
+
+def _budget_size(tag, pi, energy):
+    """The size a budget reads: |total size| on the lower half line."""
+    size = partition_size(pi, energy)
+    return abs(size) if tag in ("O-", "E-") else size
+
+
+def _regular_brute_force(tag, energy, colors, budget, bases):
+    """A regular family by filtering: every sequence of the family's parts
+    with bases in ``bases``, judged by the budget and ``validate_member``.
+
+    The parts are primary for R1 and O, primary or secondary for E, over
+    the non-ground colors, and secondary over every pair but the ground pair
+    for R2.  A sequence with two consecutive unrelated parts is no member,
+    so sequences grow only through related parts.  O- and E- read the
+    budget as |total size| <= max_size.
     """
-    g = colors.ground
-    term = Secondary(0, g, g)
-    parts = [Secondary(h, d, dp) for d in range(colors.n) for dp in range(colors.n)
-             if (d, dp) != (g, g) for h in halves]
+    g, ng = colors.ground, colors.non_ground
+    if tag == "R2":
+        parts = [Secondary(h, d, dp) for d in range(colors.n) for dp in range(colors.n)
+                 if (d, dp) != (g, g) for h in bases]
+    else:
+        parts = [Primary(k, c) for c in ng for k in bases]
+        if tag in ("E+", "E-"):
+            parts += [Secondary(h, d, dp) for d in ng for dp in ng for h in bases]
+    term = {"R1": (Primary(0, g),), "R2": (Secondary(0, g, g),)}.get(tag, ())
+    related = NEIGHBOURS[tag]
     found, level = [], [()]
     for length in range(budget.max_parts + 1):
         for seq in level:
-            pi = seq + (term,)
-            if (partition_size(pi, energy) <= budget.max_size
-                    and not rejects(validate_member, "R2", pi, energy, colors)):
+            pi = seq + term
+            if (_budget_size(tag, pi, energy) <= budget.max_size
+                    and not rejects(validate_member, tag, pi, energy, colors)):
                 found.append(pi)
         if length < budget.max_parts:
             level = [seq + (p,) for seq in level for p in parts
-                     if not seq or secondary_regular_rel(seq[-1], p, energy, colors)]
+                     if not seq or related(seq[-1], p, energy, colors)]
     return sorted(found, key=lambda pi: canonical_key(pi, energy))
 
 
-def test_r2_walk_equals_brute_force():
-    halves = range(-2, 4)
-    cases = [(colors, energy, 5) for colors, energy in small_energies()[::4]]
-    cases += [(colors, energy, 6) for colors, energy in (mixed_energy(), strict_energy())]
-    for colors, energy, size in cases:
-        expected = _r2_brute_force(energy, colors, Budget(size, 3), halves)
-        assert members("R2", energy, colors, Budget(size, 3)) == expected, energy
-        if colors.n < 3:
-            continue
+def _assert_walk_equals_brute_force(tag, colors, energy, budget, bases, words=True):
+    """The walk equals the filter, and with ``words`` also every
+    word-filtered budget on a three-color energy; returns the members."""
+    size, parts = budget.max_size, budget.max_parts
+    expected = _regular_brute_force(tag, energy, colors, budget, bases)
+    assert members(tag, energy, colors, budget) == expected, (tag, energy)
+    if words and colors.n >= 3:
         # word-filtered budgets select from the same candidates
         for text in ("", "a", "b", "ab", "ba", "abb", "bab"):
             word = w(colors, text)
             for n in range(size + 1):
-                assert members("R2", energy, colors, Budget(n, 3, word)) == [
+                assert members(tag, energy, colors, Budget(n, parts, word)) == [
                     pi for pi in expected
-                    if partition_size(pi, energy) <= n and color_word(pi, colors) == word
-                ], (energy, word, n)
+                    if color_word(pi, colors) == word and _budget_size(tag, pi, energy) <= n
+                ], (tag, energy, word, n)
+    return expected
+
+
+def _strictly_inside(found, bases):
+    """Whether every base of the members found lies strictly inside the window."""
+    got = [p[0] for pi in found for p in pi]
+    return not got or bases[0] < min(got) and max(got) < bases[-1]
+
+
+def test_r2_walk_equals_brute_force():
+    cases = [(colors, energy, 5) for colors, energy in small_energies()[::4]]
+    cases += [(colors, energy, 6) for colors, energy in (mixed_energy(), strict_energy())]
+    for colors, energy, size in cases:
+        _assert_walk_equals_brute_force("R2", colors, energy, Budget(size, 3), range(-2, 4))
 
 
 def test_r2_walk_equals_brute_force_with_negative_energies():
@@ -354,10 +403,47 @@ def test_r2_walk_equals_brute_force_with_negative_energies():
         (((-1, 0, 0), (0, 0, 0), (1, 1, 0)), Budget(3, 2), range(-5, 6)),
     ]:
         energy = EnergyMatrix(rows)
-        found = members("R2", energy, colors, budget)
-        assert found == _r2_brute_force(energy, colors, budget, halves), rows
-        assert min(p.half for pi in found for p in pi) > halves[0]
-        assert max(p.half for pi in found for p in pi) < halves[-1]
+        found = _assert_walk_equals_brute_force("R2", colors, energy, budget, halves, words=False)
+        assert _strictly_inside(found, halves), rows
+
+
+def _regular_cases():
+    """Rows (tag, colors, energy, budget, bases) for R1, O+, O-, E+ and E-
+    on every 4th catalog energy, both shipped energies and every 4th energy
+    with entries {0, 2} and a 2, for R2 on the last, and for O+ and E+ on an
+    energy with a -1 entry.
+
+    Upper parts lie between 0 and the size cap.  A lower part lies at or
+    below 2 (a secondary part of upper half 1), so with |total| <= 3 and
+    three parts none lies below -7.
+    """
+    from partition_forge.core import ColorSystem, EnergyMatrix
+
+    def row(tag, colors, energy, budget, bases):
+        text = "/".join(" ".join(map(str, r)) for r in energy.values)
+        return pytest.param(tag, colors, energy, budget, bases,
+                            id="%s %s %s" % (tag, "".join(colors.names), text))
+
+    wide = [(c, e) for c, e in small_energies(values=(0, 2)) if 2 in sum(e.values, ())][::4]
+    energies = small_energies()[::4] + [mixed_energy(), strict_energy()] + wide
+    rows = []
+    for tag in ("R1", "O+", "O-", "E+", "E-"):
+        for colors, energy in energies:
+            if tag in ("O-", "E-"):
+                rows.append(row(tag, colors, energy, Budget(3, 3), range(-8, 3)))
+            else:
+                rows.append(row(tag, colors, energy, Budget(5, 3), range(-1, 7)))
+    rows += [row("R2", colors, energy, Budget(5, 3), range(-2, 5)) for colors, energy in wide]
+    negative = EnergyMatrix(((0, -1, 1), (0, 0, 1), (0, 0, 0)))
+    for tag in ("O+", "E+"):
+        rows.append(row(tag, ColorSystem(("a", "b", "g"), 2), negative, Budget(4, 3), range(-1, 6)))
+    return rows
+
+
+@pytest.mark.parametrize("tag,colors,energy,budget,bases", _regular_cases())
+def test_regular_walks_equal_brute_force(tag, colors, energy, budget, bases):
+    found = _assert_walk_equals_brute_force(tag, colors, energy, budget, bases)
+    assert _strictly_inside(found, bases), (tag, energy)
 
 
 def test_r2_count_equals_e_plus_on_a_wide_budget():
