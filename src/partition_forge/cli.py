@@ -317,8 +317,8 @@ def main(argv=None):
     try:
         return args.fn(args)
     except (UsageError, InvalidPartitionError, EnergyStructureError, OSError,
-            json.JSONDecodeError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+            json.JSONDecodeError, MemoryError, RecursionError) as exc:
+        print("error: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
         return 2
 
 

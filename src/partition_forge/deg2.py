@@ -9,7 +9,10 @@ primary constituents, and merging builds ``Secondary`` parts.
 The chain runs F2 -> F1 -> R1 -> O -> E -> R2.  Every arrow except O -> E is
 an explicit bijection here; that one link is verified by exhaustive counting
 (the underlying algorithm belongs to a companion construction and is out of
-scope), so the composite is bijective except where documented.
+scope), so the composite is bijective except where documented.  R1 <-> O+
+(``strip_ground``, ``add_ground``) is one only on energies without negative
+entries: on ``((0,-1,1),(0,0,1),(0,0,0))`` R1 holds ``0a 1b 0g``, whose
+sizes rise, and ``strip_ground`` rejects it.
 """
 
 from __future__ import annotations

@@ -25,18 +25,18 @@ two rules:
   to the next, of word q: eps(c, d) between primary parts (plus one in E),
   eps(c, d) + eps(d, d') from a primary to a secondary part, eps(l, r) +
   eps(r, d) + 1 back, and eps'_2 = eps_2 + 2 delta between secondary parts.
-  On the upper half line (R1's body, O+, E+) a size is at least
-  len(w)*rho + inner(w), rho = 1 - delta_g, and the budget caps it; on the
-  lower one (O-, E-) it is at most len(w)*rho - inner(w), and the budget
-  bounds |total size|.  R2 has no floor; exact tail tables on sizes prune
-  it instead.  ``need[j][p]`` is the least size of a part of word p that j
-  more parts and the terminal can follow: the drop to the terminal at
-  j = 0, then the least need[j-1][q] + drops[p][q].  ``least[j]`` bounds
-  the charge of those j parts from below, by the least charge any word can
-  have at each position.  A child is generated only if some j within the
-  part cap has its size at least need[j][p] and its charge plus least[j]
-  inside the budget.  On the catalog and shipped energies the R2 walk
-  generates one child per member.
+  R1 and R2 end a path with the drop to their terminal part, O+ and E+ on
+  any part at or above the half line len(w)*rho + inner(w), rho = 1 -
+  delta_g.  One cached tail table prunes all four: per count of letters
+  still to spell (with no word, of parts still allowed) each word has a
+  front of points (need, least, below), one per tail worth taking: a part
+  of size need or more can start a tail of charge least, and the point
+  serves the sizes up to below, under the next need.  A child is made only
+  where a point's need is met and the budget covers its least, so each one
+  leads to a member, while the part cap allows the word's tail.  Without a
+  word the fronts stop at two equal ones, since all later ones repeat them.
+  O- and E- lie at or below len(w)*rho - inner(w), and their budget bounds
+  |total size|.
 
 Each walk visits a member once, so no deduplication is needed.
 ``walk_members`` returns the members in walk order, for callers that only
@@ -53,6 +53,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import inf
 
 from .core import (
     DegreeK,
@@ -221,7 +222,7 @@ def flat_walk(energy, colors, budget, degree=1, make=Primary, transform=None, st
 @lru_cache(maxsize=64)
 def _word_table(tag, energy, colors):
     """A regular family's row ``(index, len(w), inner(w), part type, w, letters)``
-    per word w in walk order, and its drops (R2's to the terminal last)."""
+    per word w in walk order, and its drops (R1's and R2's to the terminal last)."""
     g, ng, ev = colors.ground, colors.non_ground, energy.values
     mixed = tag in (E_PLUS, E_MINUS)
     if tag == R2:
@@ -242,96 +243,112 @@ def _word_table(tag, energy, colors):
 
     rows = tuple((i, len(w), ev[w[0]][w[-1]] * (len(w) - 1), Primary if len(w) == 1 else Secondary,
                   w, tuple(filter(g.__ne__, w))) for i, w in enumerate(words))
-    targets = words + [(g, g)] if tag == R2 else words
+    targets = words + {R1: [(g,)], R2: [(g, g)]}.get(tag, [])
     return rows, tuple(tuple(drop(p, q) for q in targets) for p in words)
+
+
+@lru_cache(maxsize=256)
+def _tail_table(tag, energy, colors, transform, word, max_parts):
+    """A regular walk's drops and levels: ``levels[left]`` lists, with
+    ``left`` letters or parts left, the next part's ``(index, len(w),
+    inner(w), part type, w, charge shift, letters or parts used, least size
+    that ends a path, front)`` (module docstring)."""
+    rows, drops = _word_table(tag, energy, colors)
+    rho = 1 - ground_delta(energy, colors)
+    sc, sh = (transform.scale, transform.shifts) if transform else (1, (0,) * colors.n)
+    wlen = len(word) if word is not None else 0
+    shifts = [sum(map(sh.__getitem__, w)) for *_, w, _ in rows]
+    uses = [len(letters) if word is not None else 1 for *_, letters in rows]
+
+    def allowed(left):
+        if word is None:
+            return rows if left else ()
+        return [r for r in rows if word[wlen - left :][: len(r[-1])] == r[-1]]
+
+    def front(p, left):
+        # each tail gives the part's least size (a size of w, on its floor or up)
+        # and the least charge after it; by rising need and falling least,
+        # each point holds up to the size under the next need
+        _, k, inside, *_ = rows[p]
+        points = [(ends[p], 0)] if word is None or not left else []
+        for q, *_ in allowed(left):
+            for need, least, _ in fronts[left - uses[q]][q]:
+                size = max(need + drops[p][q], ends[p] if half else -inf)
+                points.append((size + (inside - size) % k, least + sc * need + shifts[q]))
+        points.sort()
+        out = [point for i, point in enumerate(points) if all(point[1] < o[1] for o in points[:i])]
+        return tuple((*point, nxt[0] - 1) for point, nxt in zip(out, out[1:] + [(inf,)]))
+
+    if tag in (O_MINUS, E_MINUS):  # a path may end on any part, at or below the half line
+        ends = [-inf] * len(rows)
+        fronts = [[((None, None, k * rho - inside),) for _, k, inside, *_ in rows]] * (wlen + 1)
+    else:  # at or above the half line, or past the drop to the terminal
+        half = tag in (O_PLUS, E_PLUS)
+        ends = [k * rho + inside if half else d[-1] + (inside - d[-1]) % k
+                for (_, k, inside, *_), d in zip(rows, drops)]
+        fronts = []  # fronts[left][p]
+        while len(fronts) < (wlen + 1 if word is not None else max_parts):
+            fronts.append([front(p, len(fronts)) for p in range(len(rows))])
+            # with no word, the fronts after two equal ones repeat them; and once
+            # a part of negative charge c starts a member of total c + least <= 0,
+            # which every budget holds, the walk raises on it with no deeper front
+            if word is None and (len(fronts) > 1 and fronts[-1] == fronts[-2] or tag != R2 and any(
+                    sc * need + shifts[p] + max(least, 1) <= 0
+                    for p, points in enumerate(fronts[-1]) for need, least, _ in points)):
+                break
+    levels = [[(*r[:5], shifts[r[0]], uses[r[0]], ends[r[0]], fronts[left - uses[r[0]]][r[0]])
+               for r in allowed(left) if fronts[left - uses[r[0]]][r[0]]]
+              for left in range(len(fronts) + 1 if word is None else wlen + 1)]
+    return levels, drops
 
 
 def _regular(tag, energy, colors, budget, transform=None):
     """Every member of R1, O+, O-, E+, E- or R2 under a budget, in walk
     order: one walk over part words and their drop table (module docstring)."""
-    g = colors.ground
-    rho = 1 - ground_delta(energy, colors)
     lower = tag in (O_MINUS, E_MINUS)
     if lower and transform is not None:
         raise UsageError("transforms are not supported for half-line-down enumeration")
     if lower and any(v < 0 for row in energy.values for v in row):
         raise UsageError("half-line-down enumeration needs a non-negative energy")
-    rows, drops = _word_table(O_PLUS if tag == R1 else tag, energy, colors)
-    sc = transform.scale if transform else 1
-    shifts = [sum(map(transform.shifts.__getitem__, w)) if transform else 0 for *_, w, _ in rows]
     word, max_size, max_parts = budget.word, budget.max_size, budget.max_parts
-    wlen = len(word) if word is not None else 0
-    if word is not None:  # spell[u]: the words that spell the budget's word on from letter u
-        spell = [[r for r in rows if word[u : u + len(r[-1])] == r[-1]] for u in range(wlen + 1)]
-    if tag == R2:  # the tail tables
-        span = range(len(rows))
-        need = [row[-1] for row in drops]  # the drop to the terminal
-        ends = [(end - inside) // 2 for end, (_, _, inside, *_) in zip(need, rows)]  # least base
-        least, front = 0, [((need[p], 0, None),) for p in span]
-        fronts = [front]
-        for _ in range(1, max_parts):
-            least += min((sc * need[q] + shifts[q] for q in span), default=0)
-            need = [min(need[q] + drops[p][q] for q in span) for p in span]
-            front = [_pareto_add(front[p], need[p], least) for p in span]
-            fronts.append(front)
-    else:
-        # every part may end a path, so the one point is the upper floor
-        ends = None
-        fronts = [[((k * rho + inside, 0, None),) for _, k, inside, *_ in rows]] * max_parts
-        roofs = [k * rho - inside for _, k, inside, *_ in rows]
-    raising = tag in (R1, O_PLUS, E_PLUS)  # R2's charges may go negative under a transform
+    levels, drops = _tail_table(tag, energy, colors, transform, word,
+                                max_parts if word is None and not lower else None)
+    sc = transform.scale if transform else 1
+    raising = tag in (R1, O_PLUS, E_PLUS)  # R2's sizes may go negative
     new = tuple.__new__
 
     def children(state):
-        # the word and size of the part before (None at the root), the
-        # budget spent, the word letters spelt and the parts so far
-        prev, above, total, widx, depth = state
+        # the word and size of the part before (at the root, an infinite
+        # size), the budget spent, and the letters or parts left
+        prev, above, total, left = state
         room = max_size - total
-        limits = drops[prev] if prev is not None else None
-        slack = max_parts - depth - 1
-        for i, k, inside, make, w, letters in rows if word is None else spell[widx]:
-            nw = widx + len(letters)
-            spelt = word is None or nw == wlen
-            j = slack if word is None else min(slack, wlen - nw)  # every part spells a letter
-            # lower sizes weakly decrease, so a too-negative total never recovers
-            points = ((-max_size - total, 0, None),) if lower else fronts[j][i]
-            top = None if limits is None else above - limits[i]
-            shift = shifts[i]
-            # the sizes with some tail length whose need they meet, below the
-            # next need, and whose least charge the budget still covers
+        for i, k, inside, make, w, shift, used, end, points in levels[min(left, len(levels) - 1)]:
+            nleft = left - used
+            top = above - drops[prev][i]
             for lo, tail, below in points:
-                hi = roofs[i] if lower else (room - tail - shift) // sc
-                if below is not None and below < hi:
-                    hi = below
-                if top is not None and top < hi:
-                    hi = top
+                # the sizes from the need to below whose charge and tail the
+                # budget covers; lower sizes weakly decrease, so a too-negative
+                # total never recovers
+                lo, hi = (-max_size - total, min(below, top)) if lower else (
+                    lo, min((room - tail - shift) // sc, below, top))
                 first, last = -((inside - lo) // k), (hi - inside) // k
                 if first > last:
                     continue
                 if raising and sc * (k * first + inside) + shift < 0:
-                    raise UsageError("negative transformed degree in enumeration")
-                # a path may end past the drop to the terminal, within the budget
-                kept = first if ends is None else max(first, ends[i])
+                    raise UsageError("negative %s in enumeration"
+                                     % ("transformed degree" if transform else "part size"))
+                # a path may end on the part from its end on, within the budget
                 cap = ((room - shift) // sc - inside) // k
                 for b in range(first, last + 1):
                     size = k * b + inside
                     # a part is the tuple of its base and its colors
-                    yield (new(make, (b,) + w), (i, size, total + sc * size + shift, nw, depth + 1),
-                           spelt and kept <= b <= cap)
+                    yield (new(make, (b,) + w), (i, size, total + sc * size + shift, nleft),
+                           (word is None or not nleft) and size >= end and b <= cap)
 
+    g = colors.ground
     term = {R1: (Primary(0, g),), R2: (Secondary(0, g, g),)}.get(tag, ())
-    return [pi + term for pi in _walk(children, (None, 0, 0, 0, 0), budget)]
-
-
-def _pareto_add(front, need, least):
-    """A front of points (need, least, below), by rising need and falling least,
-    with one point added; below is the greatest size under the next need."""
-    out = []
-    for point in sorted([p[:2] for p in front] + [(need, least)]):
-        if not out or point[1] < out[-1][1]:
-            out.append(point)
-    return (tuple((lo, tail, nxt[0] - 1) for (lo, tail), nxt in zip(out, out[1:]))
-            + ((*out[-1], None),))
+    root = (0, inf, 0, max_parts if word is None else len(word))
+    return [pi + term for pi in _walk(children, root, budget)]
 
 
 # ---------------------------------------------------------------------------

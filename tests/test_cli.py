@@ -214,6 +214,19 @@ def test_verify_mismatch_exits_1(capsys, monkeypatch):
     assert code == 1 and "FAIL" in out
 
 
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_resource_errors_exit_2(capsys, energies, monkeypatch, error):
+    _, strict = energies
+
+    def exhausted(*args, **kwargs):
+        raise error()
+
+    monkeypatch.setattr(cli.families, "count_by_word", exhausted)
+    code, out, err = run(capsys, "count", "--family", "F1", "--energy", strict,
+                         "--word", "ab", "--size", "3")
+    assert (code, out, err) == (2, "", "error: %s\n" % error.__name__)
+
+
 def test_verify_deg2_negative_max_size_exits_2(capsys, energies):
     _, strict = energies
     code, out, err = run(capsys, "verify-deg2", "--energy", strict, "--word", "a",

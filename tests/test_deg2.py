@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from partition_forge.core import (
+    ColorSystem,
+    EnergyMatrix,
     InvalidPartitionError,
     Primary,
     Secondary,
@@ -100,6 +102,16 @@ def test_strip_add_ground():
         add_ground((Primary(0, colors.index("a")),), energy, colors)  # below rho = 1
 
 
+def test_strip_ground_rejects_r1_with_rising_sizes():
+    # with a negative entry R1 sizes may rise, so R1 is not O+ plus a terminal
+    colors = ColorSystem(("a", "b", "g"), 2)
+    energy = EnergyMatrix(((0, -1, 1), (0, 0, 1), (0, 0, 0)))
+    rising = parse_partition("0a 1b 0g", colors, energy)
+    assert rising in members("R1", energy, colors, Budget(4, 3))
+    with pytest.raises(InvalidPartitionError, match="part sizes must be >= 1"):
+        strip_ground(rising, energy, colors)
+
+
 def _parts_in_window(colors, energy, bound):
     """All primary and secondary parts over the non-ground colors with |size| <= bound."""
     out = []
@@ -184,6 +196,20 @@ def test_flatreg2_table_rows_match_cells(shipped):
                 for label, tag in FLATREG2_FAMILIES:
                     assert row["counts"][label] == count_by_word(
                         tag, energy, colors, word, row["n"]), (letters, row)
+
+
+def test_flatreg2_atlas_on_the_catalog():
+    # the six degree-two families agree on every minimal catalog energy,
+    # every non-ground word up to length 3 and every size 0..7
+    cells = 0
+    for colors, energy in small_energies():
+        letters = [colors.names[c] for c in colors.non_ground]
+        for length in range(4):
+            for spelt in product(letters, repeat=length):
+                table = flatreg2_table(energy, colors, w(colors, "".join(spelt)), 7)
+                assert all(row["all_equal"] for row in table), (energy.values, spelt)
+                cells += len(table)
+    assert cells == 3976
 
 
 def test_split_merge_preserve_size_and_word():

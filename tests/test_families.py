@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -410,8 +411,9 @@ def test_r2_walk_equals_brute_force_with_negative_energies():
 def _regular_cases():
     """Rows (tag, colors, energy, budget, bases) for R1, O+, O-, E+ and E-
     on every 4th catalog energy, both shipped energies and every 4th energy
-    with entries {0, 2} and a 2, for R2 on the last, and for O+ and E+ on an
-    energy with a -1 entry.
+    with entries {0, 2} and a 2, for R2 on the last, and for R1, O+ and E+
+    on an energy with a -1 entry, where R1 sizes may rise from one part to
+    the next (``0a 1b 0g``), so R1 is not O+ with a terminal appended.
 
     Upper parts lie between 0 and the size cap.  A lower part lies at or
     below 2 (a secondary part of upper half 1), so with |total| <= 3 and
@@ -435,7 +437,7 @@ def _regular_cases():
                 rows.append(row(tag, colors, energy, Budget(5, 3), range(-1, 7)))
     rows += [row("R2", colors, energy, Budget(5, 3), range(-2, 5)) for colors, energy in wide]
     negative = EnergyMatrix(((0, -1, 1), (0, 0, 1), (0, 0, 0)))
-    for tag in ("O+", "E+"):
+    for tag in ("R1", "O+", "E+"):
         rows.append(row(tag, ColorSystem(("a", "b", "g"), 2), negative, Budget(4, 3), range(-1, 6)))
     return rows
 
@@ -456,6 +458,74 @@ def test_r2_count_equals_e_plus_on_a_wide_budget():
     budget = Budget(5, 6)
     assert len(members("R2", energy, colors, budget)) == 83837
     assert len(members("E+", energy, colors, budget)) == 83837
+
+
+def test_r1_needing_a_negative_part_raises_usage_error():
+    # eps(a, b) = eps(b, a) = -1: -1a 0b 1a 0g lies within the budget
+    from partition_forge.core import ColorSystem, EnergyMatrix
+
+    colors = ColorSystem(("a", "b", "g"), 2)
+    energy = EnergyMatrix(((0, -1, 1), (-1, 0, 1), (0, 0, 0)))
+    assert not rejects(validate_member, "R1", parse_partition("-1a 0b 1a 0g", colors, energy),
+                       energy, colors)
+    with pytest.raises(UsageError, match="negative part size"):
+        members("R1", energy, colors, Budget(4, 3))
+    # the least sizes sink by one per part without end, but that member fits
+    # every budget, so the tail fronts stop there and not at the part cap
+    from partition_forge import families
+
+    assert len(families._tail_table("R1", energy, colors, None, None, 10**4)[0]) == 4
+    with pytest.raises(UsageError, match="negative part size"):
+        members("R1", energy, colors, Budget(0, 10**6))
+
+
+def _recording_walk(generated):
+    """A stand-in for ``families._walk`` that keeps every child generated."""
+
+    def walk(children, root, budget):
+        found = [] if budget.word else [()]
+
+        def visit(path, state):
+            for part, child_state, keep in children(state):
+                child = path + (part,)
+                generated.append(child)
+                if keep:
+                    found.append(child)
+                if len(child) < budget.max_parts:
+                    visit(child, child_state)
+
+        visit((), root)
+        return found
+
+    return walk
+
+
+@pytest.mark.parametrize("tag", ["R1", "O+", "E+", "R2"])
+def test_upper_regular_walks_generate_no_dead_ends(tag, monkeypatch):
+    # every child generated is a prefix of a member kept, with and without
+    # a word, while the part cap allows every tail the word leaves; words of
+    # length 4 catch a need that is not raised to a size of its word
+    from partition_forge import families
+
+    for colors, energy in small_energies()[::4] + [mixed_energy(), strict_energy()]:
+        words = [None] + [w(colors, "".join(t)) for n in (1, 2, 3, 4)
+                          for t in product("ab", repeat=n) if set(t) <= set(colors.names)]
+        for word in words:
+            generated = []
+            monkeypatch.setattr(families, "_walk", _recording_walk(generated))
+            found = families.walk_members(tag, energy, colors, Budget(7, 4, word))
+            term = tag in ("R1", "R2")
+            prefixes = {pi[:i] for pi in found for i in range(len(pi) + 1 - term)}
+            assert [c for c in generated if c not in prefixes] == [], (energy, word)
+
+
+def test_huge_part_caps_stay_cheap():
+    # the tail fronts stop once two successive ones are equal, so a part
+    # cap of a million builds no front per allowed part
+    for colors, energy in (mixed_energy(), strict_energy()):
+        for tag in ("R1", "O+", "E+", "R2"):
+            assert members(tag, energy, colors, Budget(3, 10**6)) == members(
+                tag, energy, colors, Budget(3, 4)), tag
 
 
 def test_flat_walk_stall_raises_usage_error():
