@@ -45,6 +45,13 @@ by length, then the part sizes, then the color sequence, then the
 partition tuple itself.  The last component breaks the ties, which occur
 only in E+ and E-, where primary and secondary parts can group the same
 colors differently (``5a 2ba`` and ``5ab 2a`` on the strict energy).
+``canonical_key`` stays the definition of that order; ``members`` sorts on
+the same key, built without a dispatch per part occurrence.  A primary
+part is its own (size, color) pair, so for F1, R1, O+ and O- the sizes and
+colors are the two columns of the partition, ``zip(*pi)``.  The members of
+the other families share few distinct parts, so ``members`` takes each
+distinct part's size and colors once, from ``part_size`` and
+``part_color_seq``, and looks them up per member.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import inf
 
 from .core import (
@@ -373,10 +380,24 @@ def walk_members(tag, energy, colors, budget, degree=None, transform=None):
     raise UsageError("unknown family tag %r" % (tag,))
 
 
+def _primary_key(pi):
+    """``canonical_key`` of a partition into primary parts, each of which is
+    its own (size, color) pair."""
+    sizes, cols = zip(*pi) if pi else ((), ())
+    return len(pi), sizes, cols, pi
+
+
 def members(tag, energy, colors, budget, degree=None, transform=None):
     """Complete list of family members within a budget, in canonical order."""
     found = walk_members(tag, energy, colors, budget, degree=degree, transform=transform)
-    return sorted(found, key=lambda pi: canonical_key(pi, energy))
+    if tag in (F1, R1, O_PLUS, O_MINUS):
+        return sorted(found, key=_primary_key)
+    # the members share few distinct parts: size and colors once per part
+    parts = set(chain.from_iterable(found))
+    size = {p: part_size(p, energy) for p in parts}.__getitem__
+    cols = {p: part_color_seq(p) for p in parts}.__getitem__
+    return sorted(found, key=lambda pi: (len(pi), tuple(map(size, pi)),
+                                         tuple(chain.from_iterable(map(cols, pi))), pi))
 
 
 def size_counts(tag, energy, colors, word, max_size, degree=None):

@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -90,6 +92,41 @@ def test_omega_rejects_non_members():
         omega(bad, energy, colors)
     with pytest.raises(InvalidPartitionError):
         omega_inv(parse_partition("1c 1a 0c", colors, energy), energy, colors)
+
+
+class ForeignPart(NamedTuple):
+    """A part that reads like a primary one but is not a ``Primary``."""
+
+    size: int
+    color: int
+
+
+def _built_afresh(out, pi):
+    return type(out) is tuple and out is not pi and all(type(p) is Primary for p in out)
+
+
+def test_maps_return_tuples_of_primary_parts():
+    colors, energy = mixed_energy()
+    g = colors.ground
+    budget = Budget(7, 5)
+    # flats with no ground part but the terminal are their own images, as
+    # regulars with an empty residual are their own preimages
+    flats = [pi for pi in members("F1", energy, colors, budget)
+             if [p.color for p in pi].count(g) == 1]
+    regulars = [pi for pi in members("R1", energy, colors, budget)
+                if decompose(pi, energy, colors)[1] == (0,) * (len(pi) - 1)]
+    assert (Primary(0, g),) in flats and len(flats) > 5 and set(flats) == set(regulars)
+    general = [parse_partition(FLAT_TEXT, colors, energy), parse_partition(REGULAR_TEXT, colors, energy)]
+    for fn, pi in ([(omega, pi) for pi in flats + general[:1]]
+                   + [(omega_inv, pi) for pi in regulars + general[1:]]):
+        want = fn(pi, energy, colors)
+        for arg in (pi, list(pi), tuple(ForeignPart(*p) for p in pi),
+                      [ForeignPart(*p) for p in pi]):
+            out = fn(arg, energy, colors)
+            assert _built_afresh(out, arg), (fn.__name__, arg)
+            assert out == want
+    assert all(omega(pi, energy, colors) == pi for pi in flats)
+    assert all(omega_inv(pi, energy, colors) == pi for pi in regulars)
 
 
 # mixed energy, colors a = 0, b = 1, c = 2 (ground): eps(a, a) = 1, eps(a, b) = 0

@@ -26,6 +26,7 @@ from partition_forge.families import (
     members,
     size_counts,
     validate_member,
+    walk_members,
 )
 
 from helpers import mixed_energy, rejects, small_energies, strict_energy, w
@@ -81,6 +82,53 @@ def test_determinism_and_canonical_order():
         # strictly increasing: a total order, and no duplicates from the walks
         assert all(a < b for a, b in zip(keys, keys[1:])), tag
         assert len(set(first)) == len(first)
+
+
+TAG_DEGREES = [(tag, None) for tag in ALL_TAGS] + [("Fk", 2), ("Fk", 3)]
+
+
+def _canonical_cases():
+    """Every family on every catalog energy at Budget(4, 5), with no word and
+    with each word over {a, b} of length 1 or 2; and both shipped energies
+    at the budgets the benchmark's roundtrip sweep walks them at.  O- and E-
+    stay at the catalog's budget: on the mixed energy at Budget(6, 7), E-
+    alone has 2.4 million members."""
+    for colors, energy in small_energies():
+        letters = colors.non_ground
+        words = [None] + [(c,) for c in letters] + list(product(letters, repeat=2))
+        for word in words:
+            for tag, degree in TAG_DEGREES:
+                yield tag, degree, colors, energy, Budget(4, 5, word)
+    for (colors, energy), size in ((strict_energy(), 12), (mixed_energy(), 6)):
+        for tag, degree in TAG_DEGREES:
+            if tag not in ("O-", "E-"):
+                yield tag, degree, colors, energy, Budget(size, size + 1)
+
+
+def test_members_are_the_walk_sorted_by_canonical_key():
+    # members may read the key off the parts, but the order stays the one
+    # canonical_key defines
+    cases = 0
+    for tag, degree, colors, energy, budget in _canonical_cases():
+        found = members(tag, energy, colors, budget, degree=degree)
+        walked = walk_members(tag, energy, colors, budget, degree=degree)
+        assert found == sorted(walked, key=lambda pi: canonical_key(pi, energy)), (
+            tag, degree, energy, budget)
+        cases += 1
+    assert cases == 10 * (1 + 4 * 3 + 32 * 7) + 2 * 8
+
+
+def test_canonical_order_ties_and_the_empty_member():
+    colors, energy = strict_energy()
+    # the parts break the one tie: the same sizes and colors, grouped two ways
+    tie = [parse_partition(text, colors, energy) for text in ("5a 2ba", "5ab 2a")]
+    assert canonical_key(tie[0], energy)[:3] == canonical_key(tie[1], energy)[:3]
+    found = members("E+", energy, colors, Budget(7, 2))
+    i = found.index(min(tie))
+    assert found[i + 1] == max(tie)
+    # the empty member leads every O and E list
+    for tag in ("O+", "O-", "E+", "E-"):
+        assert members(tag, energy, colors, Budget(4, 3))[0] == (), tag
 
 
 def test_downward_half_line_rejects_transform():
