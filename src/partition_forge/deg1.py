@@ -124,24 +124,25 @@ def omega_inv(pi, energy, colors):
     g = colors.ground
     s = len(cols) - 1
     ev = energy.values
+    # Right to left: the skeleton sizes, and the conjugate nu' of the
+    # residual nu_k = sizes[k] - skeleton[k].  The minimal-difference check
+    # proved nu weakly decreasing and non-negative, so nu'_u = k + 1 for
+    # nu_(k+1) <= u < nu_k.
     skeleton = [0] * s
-    acc = 0
+    nu_prime = []
+    acc = low = 0
     below = g
     for k in range(s - 1, -1, -1):
         c = cols[k]
         acc += ev[c][below]
         below = c
         skeleton[k] = acc
-    if sizes[0] == acc:  # an empty residual: pi is its own skeleton and preimage
+        nu = sizes[k] - acc
+        if nu > low:
+            nu_prime += [k + 1] * (nu - low)
+            low = nu
+    if not nu_prime:  # an empty residual: pi is its own skeleton and preimage
         return tuple([_new(Primary, p) for p in zip(sizes, cols)])
-    # the minimal-difference check proved the residual sizes[k] - skeleton[k]
-    # weakly decreasing and non-negative, so its conjugate is a count
-    nu_prime = []
-    j = s
-    for u in range(sizes[0] - acc):
-        while sizes[j - 1] - skeleton[j - 1] <= u:
-            j -= 1
-        nu_prime.append(j)
     sp = len(nu_prime)
 
     # with stairs[k] = delta_g + |mu_k| + k (non-decreasing) against
