@@ -20,10 +20,11 @@ the result is a new tuple of ``Primary`` parts, whatever sequence or part
 objects the caller passed.
 
 Over the 16,275 F1 and 41,254 R1 catalog members at ``Budget(7, 7)`` and
-the members' images (57,529 calls each; 2-core host, CPython 3.11.7, median
-of 7 passes), ``read_degree_one`` takes 2.3 us per call, against 7.4 us
+the members' images (57,529 calls each; the medians of 7 passes in several
+runs on a 2-core host with CPython 3.11.7, whose speed drifts between
+runs), ``read_degree_one`` takes 2.3-2.8 us per call, against 7.4-9.9 us
 with a type check per part and a predicate call per pair; ``omega`` takes
-8.6 us and ``omega_inv`` 11.1 us, validation included.
+8.6-9.9 us and ``omega_inv`` 10-12.5 us, validation included.
 """
 
 from __future__ import annotations

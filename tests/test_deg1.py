@@ -116,12 +116,12 @@ def test_maps_return_tuples_of_primary_parts():
     regulars = [pi for pi in members("R1", energy, colors, budget)
                 if decompose(pi, energy, colors)[1] == (0,) * (len(pi) - 1)]
     assert (Primary(0, g),) in flats and len(flats) > 5 and set(flats) == set(regulars)
-    general = [parse_partition(FLAT_TEXT, colors, energy), parse_partition(REGULAR_TEXT, colors, energy)]
-    for fn, pi in ([(omega, pi) for pi in flats + general[:1]]
-                   + [(omega_inv, pi) for pi in regulars + general[1:]]):
+    flat, regular = (parse_partition(text, colors, energy) for text in (FLAT_TEXT, REGULAR_TEXT))
+    for fn, pi in ([(omega, pi) for pi in flats + [flat]]
+                   + [(omega_inv, pi) for pi in regulars + [regular]]):
         want = fn(pi, energy, colors)
         for arg in (pi, list(pi), tuple(ForeignPart(*p) for p in pi),
-                      [ForeignPart(*p) for p in pi]):
+                    [ForeignPart(*p) for p in pi]):
             out = fn(arg, energy, colors)
             assert _built_afresh(out, arg), (fn.__name__, arg)
             assert out == want

@@ -89,13 +89,13 @@ TAG_DEGREES = [(tag, None) for tag in ALL_TAGS] + [("Fk", 2), ("Fk", 3)]
 
 def _canonical_cases():
     """Every family on every catalog energy at Budget(4, 5), with no word and
-    with each word over {a, b} of length 1 or 2; and both shipped energies
+    with each word over {a, b} of length 0 to 2; and both shipped energies
     at the budgets the benchmark's roundtrip sweep walks them at.  O- and E-
     stay at the catalog's budget: on the mixed energy at Budget(6, 7), E-
     alone has 2.4 million members."""
     for colors, energy in small_energies():
         letters = colors.non_ground
-        words = [None] + [(c,) for c in letters] + list(product(letters, repeat=2))
+        words = [None, ()] + [(c,) for c in letters] + list(product(letters, repeat=2))
         for word in words:
             for tag, degree in TAG_DEGREES:
                 yield tag, degree, colors, energy, Budget(4, 5, word)
@@ -115,7 +115,7 @@ def test_members_are_the_walk_sorted_by_canonical_key():
         assert found == sorted(walked, key=lambda pi: canonical_key(pi, energy)), (
             tag, degree, energy, budget)
         cases += 1
-    assert cases == 10 * (1 + 4 * 3 + 32 * 7) + 2 * 8
+    assert cases == 10 * (2 + 4 * 4 + 32 * 8) + 2 * 8
 
 
 def test_canonical_order_ties_and_the_empty_member():
