@@ -16,7 +16,9 @@ two rules:
   k.  A flat partition is a grounded sequence of k-letter color words
   whose sizes the energy forces, so ``flat_walk`` runs right to left,
   prepending words and building each part as it is reached: primary parts
-  at k = 1, secondary parts for F2, degree-k parts for Fk;
+  at k = 1, secondary parts for F2, degree-k parts for Fk.  Its rows of
+  words are sorted by charge, so a node checks its row's least size once
+  and stops at the first word over the budget;
 - regular (R1, O+, O-, E+, E- and R2): ``_regular`` runs left to right.  A
   part is a word w with a base b, of size len(w)*b + inner(w), inner(w)
   the energy inside w.  The words are the non-ground colors for R1 and O,
@@ -61,6 +63,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
 from math import inf
+from operator import itemgetter
 
 from .core import (
     DegreeK,
@@ -152,6 +155,13 @@ def flat_walk(energy, colors, budget, degree=1, make=Primary, transform=None, st
     ``stall_limit`` bounds runs of zero-charge parts and raises
     ``UsageError`` when exceeded, for walks whose termination relies on the
     charge rather than the length cap.
+
+    Each row (the words that may precede a given first color) is sorted
+    once by what a word adds to the charge beyond the share of the part to
+    its right, which the row has in common, so a node's scan breaks at the
+    first word over the budget.  A negative charge sorts before the break
+    and is checked per word; a negative size need not, so a node first
+    raises if its row's least lift gives one.
     """
     k, n, g = degree, colors.n, colors.ground
     e = energy.values
@@ -179,34 +189,43 @@ def flat_walk(energy, colors, budget, degree=1, make=Primary, transform=None, st
               spread(w), w[0], w[-1]) for w, head, inside in table]
     rows = [None] * n
 
+    def ranked(d, skip=None):
+        # the words above a part whose word starts with d, but the one at
+        # place skip, each with its lift (what it adds to that part's size
+        # plus tail), sorted by the charge it adds beyond sc * below; and
+        # the least lift
+        lifts = [head + k * e[last][d] for head, *_, last in words]
+        return sorted([(sc * lift + shift, lift, head, tail, letters, fields, w0)
+                       for j, (lift, (head, tail, shift, letters, fields, w0, _))
+                       in enumerate(zip(lifts, words)) if j != skip], key=itemgetter(0)), min(lifts)
+
     def build(d):
-        # the words above a part whose word starts with d, each led by what
-        # it adds to that part's size plus tail
-        rows[d] = [(head + k * e[last][d], head, tail, shift, letters, fields, w0)
-                   for head, tail, shift, letters, fields, w0, last in words]
+        rows[d] = ranked(d)
         return rows[d]
 
-    # the root's row, last: a zero-size ground word would duplicate the terminal
-    rows.append(list(build(g)))
+    # the root's row, last: a zero-size ground word would duplicate the
+    # terminal (and its lift, -below, leaves the least lift harmless)
     i = g * sum(n ** j for j in range(k))  # the ground word's place
-    if rows[g][i][0] + below == 0:
-        del rows[-1][i]
+    rows.append(ranked(g, i if words[i][0] + k * e[g][g] + below == 0 else None))
+    new = tuple.__new__
 
     def children(state):
         # the first color of the part to the right (-1 for the terminal),
         # its size plus tail, the budget spent, the word letters consumed
         # from the right, and the current run of zero-charge parts
         d, below, total, consumed, zrun = state
-        row = rows[d]
-        for lift, head, tail, shift, letters, fields, w0 in row if row is not None else build(d):
-            size = lift + below
-            if size < 0:
-                raise UsageError("negative part size; energy unsuitable for flat enumeration")
-            charge = sc * size + shift
+        row, least = rows[d] or build(d)
+        # a word of negative size may sort past the break, so check the row once
+        if below + least < 0:
+            raise UsageError("negative part size; energy unsuitable for flat enumeration")
+        base = sc * below
+        room = max_size - total - base
+        for cost, lift, head, tail, letters, fields, w0 in row:
+            if cost > room:  # the rest of the row costs more
+                break
+            charge = cost + base
             if charge < 0:
                 raise UsageError("negative transformed degree in flat enumeration")
-            if total + charge > max_size:
-                continue
             ncons = consumed
             if word is not None and letters:
                 ncons += len(letters)
@@ -215,7 +234,9 @@ def flat_walk(energy, colors, budget, degree=1, make=Primary, transform=None, st
             nz = zrun + 1 if charge == 0 else 0
             if stall_limit is not None and nz > stall_limit:
                 raise UsageError("flat walk stalled on zero-cost parts")
-            yield (make((size - head) // k, *fields), (w0, size + tail, total + charge, ncons, nz),
+            size = lift + below
+            # a part is the tuple of its base and its fields
+            yield (new(make, ((size - head) // k,) + fields), (w0, size + tail, total + charge, ncons, nz),
                    word is None or ncons == wlen)
 
     term = (make(0, *spread(ground)),)

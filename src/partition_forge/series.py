@@ -6,7 +6,9 @@ a substitution is in flight, but stored q-degrees are always in [0, order].
 
 This module is also the boundary where color words stop being words:
 ``gf_from_partitions`` weighs each part by its size (or transformed degree)
-and its non-ground colors, and from then on the colors commute.
+and its non-ground colors, and from then on the colors commute.  It weighs
+each distinct part once, as one packed int (the degree above base-2^b
+color-count digits), so a partition's weight is the sum of its parts'.
 
 ``pochhammer_expand`` does not build a series per factor.  It keeps the
 running product as rows by q-degree, and keys each row by one packed int per
@@ -21,6 +23,9 @@ stays the independent route the tests compare it with.
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import partial
+from itertools import chain
 from typing import NamedTuple
 
 from .core import UsageError, part_color_seq, part_size
@@ -288,33 +293,33 @@ def pochhammer_expand(factors, order, nvars):
 
 
 def gf_from_partitions(partitions, colors, energy, order, transform=None):
-    """Sum of one monomial q^d x^e per partition, truncated at ``order``.
+    """Sum of one monomial q^d x^e per partition of the sequence
+    ``partitions``, truncated at ``order``.
 
     d sums the part sizes, or under a transformation each part's
     ``part_degree``; e counts the parts' non-ground colors, one variable per
-    color of ``colors.non_ground`` (the ground contributes nothing).  Part
-    weights are memoized, since enumerations repeat parts heavily.  A part
-    of negative degree raises UsageError.
+    color of ``colors.non_ground`` (the ground contributes nothing).  Each
+    distinct part is weighed once, in order of first occurrence, as the
+    packed int ``(degree << top) + sum(1 << b * var(c))``, and only the
+    distinct sums are unpacked.  A b-bit digit holds any partition's count
+    of one color: the longest partition times the most colors of a part.
+    A part of negative degree raises UsageError.
     """
     var = {c: i for i, c in enumerate(colors.non_ground)}
     nvars = len(var)
-    cache = {}  # part -> (degree, the variable index of each non-ground color)
-    acc = {}
-    for pi in partitions:
-        d = 0
-        exps = [0] * nvars
-        for p in pi:
-            got = cache.get(p)
-            if got is None:
-                pd = part_size(p, energy) if transform is None else transform.part_degree(p, energy)
-                if pd < 0:
-                    raise UsageError("negative transformed degree for part %r" % (p,))
-                got = cache[p] = (pd, [var[c] for c in part_color_seq(p) if c in var])
-            d += got[0]
-            for i in got[1]:
-                exps[i] += 1
-        if d > order:
-            continue
-        key = (d, tuple(exps))
-        acc[key] = acc.get(key, 0) + 1
+    parts = {}  # part -> (degree, colors)
+    for p in dict.fromkeys(chain.from_iterable(partitions)):
+        pd = part_size(p, energy) if transform is None else transform.part_degree(p, energy)
+        if pd < 0:
+            raise UsageError("negative transformed degree for part %r" % (p,))
+        parts[p] = pd, part_color_seq(p)
+    widest = max((len(cs) for _, cs in parts.values()), default=0)
+    b = (max(map(len, partitions), default=0) * widest).bit_length()
+    top = b * nvars
+    weight = {p: (pd << top) + sum(1 << b * var[c] for c in cs if c in var)
+              for p, (pd, cs) in parts.items()}
+    counts = Counter(map(sum, map(partial(map, weight.__getitem__), partitions)))
+    mask = (1 << b) - 1
+    acc = {(key >> top, tuple(key >> b * i & mask for i in range(nvars))): v
+           for key, v in counts.items() if key >> top <= order}
     return TruncatedSeries(order, nvars, acc)

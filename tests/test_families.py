@@ -11,6 +11,7 @@ from partition_forge.core import (
     SizeTransform,
     UsageError,
     color_word,
+    flat_sizes,
     min_diff_rel,
     mixed_rel,
     parse_partition,
@@ -357,6 +358,59 @@ def test_flat_walk_equals_members():
             assert Counter(walked) == Counter(found), (tag, k, energy, budget)
             for pi in found:
                 validate_member(tag, pi, energy, colors, degree=degree)
+
+
+def _flat_by_color_sequences(energy, colors, budget, transform=None):
+    # every F1 member within the budget, from its color sequence alone: each
+    # sequence of at most max_parts colors before the ground fixes the sizes
+    g = colors.ground
+    found = []
+    for length in range(budget.max_parts + 1):
+        for seq in product(range(colors.n), repeat=length):
+            full = seq + (g,)
+            pi = tuple(map(Primary, flat_sizes(full, energy, colors), full))
+            try:
+                validate_member("F1", pi, energy, colors)
+            except InvalidPartitionError:
+                continue
+            charge = (sum(transform.part_degree(p, energy) for p in pi) if transform
+                      else partition_size(pi, energy))
+            if charge <= budget.max_size and (budget.word is None
+                                              or color_word(pi, colors) == budget.word):
+                found.append(pi)
+    return found
+
+
+def test_flat_walk_equals_its_color_sequences():
+    # an F1 route that never walks: the same multiset on every catalog
+    # energy, with and without a word, and under Keith-Xiong's transform
+    from partition_forge.characters import keith_xiong_setup
+
+    cases = []
+    for colors, energy in small_energies():
+        for word in (None, tuple(reversed(colors.non_ground))):
+            cases.append((colors, energy, Budget(3, 4, word), None))
+    colors, energy, transform = keith_xiong_setup(3)
+    for word in (None, (2, 1)):
+        cases.append((colors, energy, Budget(12, 7, word), transform))
+    for colors, energy, budget, transform in cases:
+        walked = flat_walk(energy, colors, budget, transform=transform)
+        want = _flat_by_color_sequences(energy, colors, budget, transform)
+        assert Counter(walked) == Counter(want), (energy, budget)
+
+
+def test_flat_walk_checks_each_row_for_negative_sizes():
+    # the a word's charge (size + 5) sorts it past the budget's break while
+    # its size is already negative: the walk must still raise
+    from partition_forge.core import ColorSystem, EnergyMatrix
+
+    colors = ColorSystem(("a", "g"), 1)
+    energy = EnergyMatrix(((-1, 1), (2, 0)))
+    transform = SizeTransform(1, (5, 0))
+    assert len(flat_walk(energy, colors, Budget(10, 10), transform=transform)) == 3
+    for max_size in (11, 12):
+        with pytest.raises(UsageError, match="negative part size"):
+            flat_walk(energy, colors, Budget(max_size, 10), transform=transform)
 
 
 # the relation every pair of neighbours of a regular family's member meets

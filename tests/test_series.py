@@ -6,7 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from partition_forge import classic
 from partition_forge.characters import build_config, keith_xiong_setup, siladic_setup
-from partition_forge.core import ColorSystem, EnergyMatrix, SizeTransform, UsageError, color_word
+from partition_forge.core import (
+    ColorSystem,
+    EnergyMatrix,
+    Secondary,
+    SizeTransform,
+    UsageError,
+    color_word,
+    part_color_seq,
+    part_size,
+)
 from partition_forge.families import Budget, members, walk_members
 from partition_forge.series import (
     ProductFactor,
@@ -15,7 +24,7 @@ from partition_forge.series import (
     pochhammer_expand,
 )
 
-from helpers import mixed_energy
+from helpers import mixed_energy, strict_energy
 
 
 def q_only(order):
@@ -148,6 +157,44 @@ def test_transformed_gf_equals_a_sum_of_part_degrees(setup, tags, order):
             want[(sum(transform.part_degree(p, energy) for p in pi), tuple(exps))] += 1
         got = gf_from_partitions(found, colors, energy, order, transform)
         assert got.nvars == len(var) and got.coeffs == dict(want)
+
+
+def test_packed_weight_digits_hold_every_color_of_a_partition():
+    # three parts but four a's: a digit sized from the longest partition
+    # alone (two bits) would carry the count into the degree, giving q^7 a^0
+    colors = ColorSystem(("a", "g"), 1)
+    energy = EnergyMatrix(((0, 1), (0, 0)))
+    pi = (Secondary(2, 0, 0), Secondary(1, 0, 0), Secondary(0, 1, 1))
+    assert gf_from_partitions([pi], colors, energy, 10).coeffs == {(6, (4,)): 1}
+
+
+def _looped_gf(partitions, colors, energy, order):
+    # one tuple-keyed monomial per partition, summed part by part
+    var = {c: i for i, c in enumerate(colors.non_ground)}
+    acc = Counter()
+    for pi in partitions:
+        exps = [0] * len(var)
+        for p in pi:
+            for c in part_color_seq(p):
+                if c in var:
+                    exps[var[c]] += 1
+        d = sum(part_size(p, energy) for p in pi)
+        if d <= order:
+            acc[(d, tuple(exps))] += 1
+    return dict(acc)
+
+
+@pytest.mark.parametrize("shipped", (mixed_energy, strict_energy))
+def test_packed_gf_equals_a_tuple_keyed_sum(shipped):
+    colors, energy = shipped()
+    runs = [(tag, None) for tag in ("F2", "R2", "E+")]
+    if shipped is strict_energy:
+        runs.append(("Fk", 3))
+    for tag, degree in runs:
+        found = walk_members(tag, energy, colors, Budget(9, 10), degree=degree)
+        for order in (4, 9):
+            got = gf_from_partitions(found, colors, energy, order)
+            assert got.coeffs == _looped_gf(found, colors, energy, order), (tag, order)
 
 
 def test_reciprocal_needs_positive_offset():
