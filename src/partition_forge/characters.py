@@ -171,26 +171,32 @@ def _unit(colors, *labels):
     return tuple(exps)
 
 
-def _character_budget(colors, order):
-    stall = 2 * colors.n + 2
-    return Budget(order, (order + 1) * (stall + 1)), stall
-
-
 def character_lhs(config, order, route="direct"):
     """Flat-partition generating function, by either enumeration route.
+
+    A part of charge zero has one size per color, and only the z colors
+    whose shift is a non-positive multiple of the scale have one.  A member
+    of charge at most ``order`` has at most ``order`` other parts, which
+    split the rest into at most ``order + 1`` runs.  So a member with
+    ``(order + 1) * (z + 1)`` parts before its terminal repeats a part, and
+    with it the walk's state, inside one run, and that run can repeat
+    without end: the walk reaches this part cap exactly when a coefficient
+    up to ``order`` is infinite, and then ``UsageError`` is raised.
 
     The member lists are consumed unsorted: the series sum is order-free and
     the direct route alone can visit millions of partitions at order ten.
     """
-    budget, stall = _character_budget(config.colors, order)
     if route == "direct":
-        energy, transform = config.energy_prime, None
-        flats = flat_walk(energy, config.colors, budget, stall_limit=stall)
+        energy, transform, z = config.energy_prime, None, config.colors.n
     elif route == "transform":
         energy, transform = config.energy, config.transform
-        flats = flat_walk(energy, config.colors, budget, transform=transform)
+        z = sum(s <= 0 and s % transform.scale == 0 for s in transform.shifts)
     else:
         raise UsageError("route must be 'direct' or 'transform'")
+    cap = (order + 1) * (z + 1)
+    flats = flat_walk(energy, config.colors, Budget(order, cap), transform=transform)
+    if max(map(len, flats)) > cap:  # the terminal is not counted by the cap
+        raise UsageError("zero-charge parts repeat, so a coefficient up to q^%d is infinite" % order)
     return gf_from_partitions(flats, config.colors, energy, order, transform)
 
 

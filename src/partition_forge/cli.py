@@ -53,12 +53,18 @@ def _partition_json(pi, colors, energy):
 # on a 2-core host).  Each ladder step of a product touches every row, so a
 # series costs at least the square of its order.  verify caches every
 # classical partition of each n, about 2.3x more memory per +5 of order
-# (order 50: 4 s, 392 MB).  A character walk grows with both rank and order
-# (A2n2 rank 2, order 40: 34 s; rank 200, order 2: 29 s).
+# (order 50: 4 s, 392 MB).  Its residue identities build an m x m energy
+# (keith_xiong m = 1000, order 2: 4.6 s), and their walks grow with m too
+# (keith_xiong m = 10, order 50: 45 s).  A character walk grows with both
+# rank and order (A2n2 rank 2, order 40: 34 s; rank 200, order 2: 29 s).
+# An Fk walk builds all n^k color words first (3^10 words: 0.7 s, 3^12:
+# 5.6 s).
 MAX_SERIES_ORDER = 1000
 MAX_VERIFY_ORDER = 50
+MAX_VERIFY_MODULUS = 100
 MAX_CHARACTER_ORDER = 30
 MAX_CHARACTER_RANK = 50
+MAX_FLAT_WORDS = 10**5
 
 
 def _at_most(flag, value, limit):
@@ -66,8 +72,20 @@ def _at_most(flag, value, limit):
         raise UsageError("%s must be at most %d, got %d" % (flag, limit, value))
 
 
+def _check_words(args, colors):
+    """Refuse an Fk request whose n^k color words are past MAX_FLAT_WORDS."""
+    n, k = colors.n, args.degree
+    # 2 to the limit's bit length is past the limit, so the capped power is
+    # past it exactly when n^k is, and a huge k costs nothing
+    top = MAX_FLAT_WORDS.bit_length()
+    if args.family == families.FK and k is not None and n ** min(k, top) > MAX_FLAT_WORDS:
+        raise UsageError("--degree %d over %d colors walks %d^%d color words, more than %d"
+                         % (k, n, n, k, MAX_FLAT_WORDS))
+
+
 def _cmd_enumerate(args):
     colors, energy = load_energy(args.energy)
+    _check_words(args, colors)
     word = _parse_word(args.word, colors) if args.word is not None else None
     max_parts = args.max_parts
     if max_parts is None:
@@ -99,6 +117,7 @@ def _cmd_enumerate(args):
 
 def _cmd_count(args):
     colors, energy = load_energy(args.energy)
+    _check_words(args, colors)
     word = _parse_word(args.word, colors)
     print(
         families.count_by_word(
@@ -167,6 +186,8 @@ def _cmd_character(args):
 
 def _cmd_verify(args):
     _at_most("--order", args.order, MAX_VERIFY_ORDER)
+    if args.m is not None:
+        _at_most("--m", args.m, MAX_VERIFY_MODULUS)
     report = characters.verify_named_identity(args.identity, args.order, m=args.m)
     if args.json:
         print(json.dumps(report, indent=2))

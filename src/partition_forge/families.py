@@ -18,7 +18,9 @@ two rules:
   prepending words and building each part as it is reached: primary parts
   at k = 1, secondary parts for F2, degree-k parts for Fk.  Its rows of
   words are sorted by charge, so a node checks its row's least size once
-  and stops at the first word over the budget;
+  and stops at the first word over the budget.  Parts of charge zero can
+  repeat without end, and then only the part cap ends the walk:
+  ``characters.character_lhs`` raises when a member reaches its cap;
 - regular (R1, O+, O-, E+, E- and R2): ``_regular`` runs left to right.  A
   part is a word w with a base b, of size len(w)*b + inner(w), inner(w)
   the energy inside w.  The words are the non-ground colors for R1 and O,
@@ -141,7 +143,7 @@ def _walk(children, root, budget):
 # flat rule (F1, F2, Fk and the character enumerations)
 
 
-def flat_walk(energy, colors, budget, degree=1, make=Primary, transform=None, stall_limit=None):
+def flat_walk(energy, colors, budget, degree=1, make=Primary, transform=None):
     """Every flat grounded partition of degree-k parts under a budget, unsorted.
 
     A part is a word w of k colors with a size.  The energy between words
@@ -152,9 +154,9 @@ def flat_walk(energy, colors, budget, degree=1, make=Primary, transform=None, st
     ``DegreeK``) with base ``(size - head(w)) / k``: ``Primary`` at degree
     one, ``Secondary`` at degree two.  It is charged its size, or under a
     ``transform`` the scale times its size plus the shifts of its word.
-    ``stall_limit`` bounds runs of zero-charge parts and raises
-    ``UsageError`` when exceeded, for walks whose termination relies on the
-    charge rather than the length cap.
+    Zero-charge parts may repeat without end, and then only the part cap
+    ends the walk: a caller that must see every member within the charge
+    checks that none reaches the cap, as ``characters.character_lhs`` does.
 
     Each row (the words that may precede a given first color) is sorted
     once by what a word adds to the charge beyond the share of the part to
@@ -211,9 +213,9 @@ def flat_walk(energy, colors, budget, degree=1, make=Primary, transform=None, st
 
     def children(state):
         # the first color of the part to the right (-1 for the terminal),
-        # its size plus tail, the budget spent, the word letters consumed
-        # from the right, and the current run of zero-charge parts
-        d, below, total, consumed, zrun = state
+        # its size plus tail, the budget spent, and the word letters
+        # consumed from the right
+        d, below, total, consumed = state
         row, least = rows[d] or build(d)
         # a word of negative size may sort past the break, so check the row once
         if below + least < 0:
@@ -231,16 +233,13 @@ def flat_walk(energy, colors, budget, degree=1, make=Primary, transform=None, st
                 ncons += len(letters)
                 if ncons > wlen or word[wlen - ncons : wlen - consumed] != letters:
                     continue
-            nz = zrun + 1 if charge == 0 else 0
-            if stall_limit is not None and nz > stall_limit:
-                raise UsageError("flat walk stalled on zero-cost parts")
             size = lift + below
             # a part is the tuple of its base and its fields
-            yield (new(make, ((size - head) // k,) + fields), (w0, size + tail, total + charge, ncons, nz),
+            yield (new(make, ((size - head) // k,) + fields), (w0, size + tail, total + charge, ncons),
                    word is None or ncons == wlen)
 
     term = (make(0, *spread(ground)),)
-    return [pi[::-1] + term for pi in _walk(children, (-1, below, 0, 0, 0), budget)]
+    return [pi[::-1] + term for pi in _walk(children, (-1, below, 0, 0), budget)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,16 @@
+from itertools import product
+
 import pytest
 
-from partition_forge.core import UsageError, ground_delta, validate_energy
+from partition_forge.core import (
+    SizeTransform,
+    UsageError,
+    ground_delta,
+    parse_energy,
+    validate_energy,
+)
 from partition_forge.characters import (
+    CrystalConfig,
     build_config,
     character_lhs,
     character_rhs,
@@ -11,7 +20,10 @@ from partition_forge.characters import (
     verify_character,
     verify_named_identity,
 )
+from partition_forge.families import Budget, flat_walk, walk_members
 from partition_forge.series import ProductFactor, TruncatedSeries, pochhammer_expand
+
+from helpers import small_energies
 
 
 def test_a_type_config():
@@ -200,3 +212,56 @@ def test_identity_argument_errors():
 def test_character_identity_rank_three(family):
     report = verify_character(family, 3, 4)
     assert report["pass"], family
+
+
+def test_character_lhs_raises_on_a_zero_charge_cycle():
+    # delta_g = 1 and eps(a, a) = 0: zero-size a parts repeat without end,
+    # so every coefficient is infinite; both routes must say so rather than
+    # return a series cut off at the part cap
+    colors, energy = parse_energy("a g\ng\n0 0\n1 0\n")
+    config = CrystalConfig("cyclic", 1, colors, energy, energy, SizeTransform.identity(2), ())
+    message = "zero-charge parts repeat, so a coefficient up to q\\^4 is infinite"
+    for route in ("direct", "transform"):
+        with pytest.raises(UsageError, match=message):
+            character_lhs(config, 4, route)
+
+
+def test_character_lhs_raises_exactly_when_a_coefficient_is_infinite():
+    # at order 1 a finite family has no member of 10 parts before its
+    # terminal (the cap is at most 8 on three colors), while a zero-charge
+    # cycle gives members of every length; every catalog energy on up to
+    # three colors, under every scale 1-2 and shifts in -2..0
+    raised = 0
+    for colors, energy in small_energies():
+        for scale, shifts in product((1, 2), product((-2, -1, 0), repeat=colors.n)):
+            transform = SizeTransform(scale, shifts)
+            try:
+                deep = flat_walk(energy, colors, Budget(1, 10), transform=transform)
+            except UsageError:  # a negative size or charge, on both sides
+                continue
+            config = CrystalConfig("catalog", 1, colors, energy, energy, transform, ())
+            try:
+                character_lhs(config, 1, "transform")
+                infinite = False
+            except UsageError as exc:  # or a negative-degree terminal
+                infinite = "zero-charge" in str(exc)
+            assert infinite == (max(map(len, deep)) > 10), (energy, transform)
+            raised += infinite
+    assert raised == 400
+
+
+@pytest.mark.parametrize("setup,tags", (
+    (glaisher_analogue_setup(3), ("F1", "R1")),
+    (keith_xiong_setup(2), ("F1", "R1")),
+    (keith_xiong_setup(3), ("F1", "R1")),
+    # q -> q^4 with shifts (-3, -1, 0) gives the words ab and ba of size 1
+    # charge zero
+    (siladic_setup(), ("R2", "F2", "O+")),
+), ids=("glaisher_analogue-3", "keith_xiong-2", "keith_xiong-3", "siladic"))
+def test_identity_walks_need_no_more_parts_than_their_order(setup, tags):
+    # the named identities walk under Budget(order, order + 1): four times
+    # that part cap finds no further member
+    colors, energy, transform = setup
+    for tag in tags:
+        assert walk_members(tag, energy, colors, Budget(10, 11), transform=transform) == \
+            walk_members(tag, energy, colors, Budget(10, 44), transform=transform), tag

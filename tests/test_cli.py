@@ -172,6 +172,11 @@ def test_series_malformed_factors_exit_2(capsys, spec, message):
      "--rank must be at most 50, got 51"),
     (("character", "--family", "Bn1-Ln", "--rank", "2000", "--order", "1"),
      "--rank must be at most 50, got 2000"),
+    (("verify", "--identity", "keith_xiong", "--m", "101", "--order", "2"),
+     "--m must be at most 100, got 101"),
+    # the order is checked first
+    (("verify", "--identity", "keith_xiong", "--m", "101", "--order", "51"),
+     "--order must be at most 50, got 51"),
 ))
 def test_size_past_limit_exits_2(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
@@ -340,6 +345,14 @@ EXIT_CODES = (
     ("count --family O- --energy {strict} --word ab --size -2", 0, "2\n"),
     ("count --family Fk --energy {strict} --word a --size 1", 2,
      "degree-k partitions need degree >= 1, got None"),
+    # an Fk walk builds all n^k color words: 3^10 = 59,049 are allowed
+    ("count --family Fk --energy {strict} --word b --size 2 --degree 10", 0, "1\n"),
+    ("count --family Fk --energy {strict} --word ab --size 2 --degree 11", 2,
+     "--degree 11 over 3 colors walks 3^11 color words, more than 100000"),
+    ("enumerate --family Fk --energy {strict} --max-size 2 --degree 13", 2,
+     "--degree 13 over 3 colors walks 3^13 color words, more than 100000"),
+    ("enumerate --family Fk --energy {strict} --max-size 0 --degree 1000000000", 2,
+     "--degree 1000000000 over 3 colors walks 3^1000000000 color words, more than 100000"),
     ("omega --energy {mixed} --in '1c 1a 0c'", 0, "2a 0c\n"),
     ("omega --energy {mixed} --in '5a 1b 0c'", 2,
      "F1 relation fails between Primary(size=5, color=0) and Primary(size=1, color=1)"),
@@ -371,6 +384,8 @@ EXIT_CODES = (
     ("character --family A2n2 --rank 2 --order 31", 2, "--order must be at most 30, got 31"),
     ("verify --identity euler --order 3", 0, None),
     ("verify --identity euler --order 51", 2, "--order must be at most 50, got 51"),
+    ("verify --identity glaisher --m 100 --order 2", 0, None),
+    ("verify --identity glaisher --m 101 --order 2", 2, "--m must be at most 100, got 101"),
     ("series --factors '[{{\"offset\":1}}]' --order 3", 0, "1 + 1*q^1 + 1*q^2 + 2*q^3\n"),
     ("series --factors '[{{\"offset\":1}}' --order 3", 2, "Expecting ',' delimiter"),
 )

@@ -628,13 +628,3 @@ def test_huge_part_caps_stay_cheap():
         for tag in ("R1", "O+", "E+", "R2"):
             assert members(tag, energy, colors, Budget(3, 10**6)) == members(
                 tag, energy, colors, Budget(3, 4)), tag
-
-
-def test_flat_walk_stall_raises_usage_error():
-    # delta_g = 1 and eps(a, a) = 0: zero-size a parts repeat without end
-    colors, energy = [
-        (c, e) for c, e in small_energies(max_colors=2) if e.e(c.ground, 0) == 1 and e.e(0, 0) == 0
-    ][0]
-    with pytest.raises(UsageError, match="stalled on zero-cost parts"):
-        flat_walk(energy, colors, Budget(0, 50), stall_limit=3)
-    assert len(flat_walk(energy, colors, Budget(0, 3), stall_limit=3)) == 4
