@@ -179,12 +179,14 @@ def flat_walk(energy, colors, budget, degree=1, make=Primary, transform=None):
     if below % k:
         raise UsageError("eps(ground, ground) = %d: a size does not fit a degree-%d part "
                          "(wrong parity); energy unsuitable for flat enumeration" % (e[g][g], k))
-    # every word in product order, grown one color at a time, with its head
-    # and the energy inside it
-    table = [((c,), 0, 0) for c in range(n)]
+    # every word in product order, with its head and the energy inside it;
+    # the sums grow one letter at a time (the i-th prefix ends in color
+    # i % n) and the words come from product, so no word is copied per letter
+    heads = insides = [0] * n
     for u in range(1, k):
-        table = [(w + (c,), head + u * e[w[-1]][c], inside + e[w[-1]][c])
-                 for w, head, inside in table for c in range(n)]
+        heads = [h + u * x for i, h in enumerate(heads) for x in e[i % n]]
+        insides = [s + x for i, s in enumerate(insides) for x in e[i % n]]
+    table = zip(product(range(n), repeat=k), heads, insides)
     # per word: its head, tail, charge shift, word letters, the fields of
     # its part after the base, and its first and last colors
     words = [(head, k * inside - head, sum(map(sh.__getitem__, w)), tuple(filter(g.__ne__, w)),

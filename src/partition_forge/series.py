@@ -7,18 +7,25 @@ a substitution is in flight, but stored q-degrees are always in [0, order].
 This module is also the boundary where color words stop being words:
 ``gf_from_partitions`` weighs each part by its size (or transformed degree)
 and its non-ground colors, and from then on the colors commute.  It weighs
-each distinct part once, as one packed int (the degree above base-2^b
+each distinct part once, as one packed int (the degree above the
 color-count digits), so a partition's weight is the sum of its parts'.
 
 ``pochhammer_expand`` does not build a series per factor.  It keeps the
 running product as rows by q-degree, and keys each row by one packed int per
-exponent vector: the exponents are signed base-2^b digits, with b sized from
-the factors so that no digit can overflow, so multiplying by a monomial is
-one int addition.  Each ladder step updates the rows in place: a binomial
-``(1 + sign m q^a)`` is a shift-and-add, a geometric ``1 / (1 - m q^a)`` a
-running recurrence (``sign`` is ignored on reciprocal factors).  The keys
-are unpacked to exponent tuples once, at the end.  ``TruncatedSeries.__mul__``
-stays the independent route the tests compare it with.
+exponent vector, so multiplying by a monomial is one int addition.  Each
+ladder step updates the rows in place: a binomial ``(1 + sign m q^a)`` is a
+shift-and-add, a geometric ``1 / (1 - m q^a)`` a running recurrence
+(``sign`` is ignored on reciprocal factors).
+
+Both packers lay out their exponents as byte-wide signed digits of 8, 16,
+32 or 64 bits, sized so that no reachable exponent overflows, and one
+unpacker, ``_digits``, reads a key back to its exponent tuple with
+``int.to_bytes`` and one ``struct`` unpack, with no Python-level step per
+digit.  An exponent past 64 bits raises UsageError.  ``TruncatedSeries.__mul__``
+stays tuple-keyed and shares none of this: it is the independent route that
+the tests compare ``pochhammer_expand`` with, so a fault in the codec cannot
+hide in both.  It sorts its right factor by degree once, so each left term
+stops at the order.
 """
 
 from __future__ import annotations
@@ -26,6 +33,8 @@ from __future__ import annotations
 from collections import Counter
 from functools import partial
 from itertools import chain
+from operator import add
+from struct import Struct
 from typing import NamedTuple
 
 from .core import UsageError, part_color_seq, part_size
@@ -105,20 +114,18 @@ class TruncatedSeries:
             return out
         self._check(other)
         order = self.order
+        right = sorted(other.coeffs.items())  # by degree, so each left term stops at the order
         acc = {}
+        get = acc.get
         for (d1, e1), v1 in self.coeffs.items():
-            for (d2, e2), v2 in other.coeffs.items():
-                d = d1 + d2
-                if d > order:
-                    continue
-                key = (d, tuple(a + b for a, b in zip(e1, e2)))
-                w = acc.get(key, 0) + v1 * v2
-                if w:
-                    acc[key] = w
-                else:
-                    del acc[key]
+            room = order - d1
+            for (d2, e2), v2 in right:
+                if d2 > room:
+                    break
+                key = (d1 + d2, tuple(map(add, e1, e2)))
+                acc[key] = get(key, 0) + v1 * v2
         out = TruncatedSeries(order, self.nvars)
-        out.coeffs = acc
+        out.coeffs = {key: v for key, v in acc.items() if v}
         return out
 
     __rmul__ = __mul__
@@ -215,10 +222,13 @@ def _check_factor(factor, nvars):
 
 
 def _digit_bits(factors, order, nvars):
-    """Bits per packed exponent digit that no reachable exponent overflows.
+    """Bits per signed exponent digit that no reachable exponent overflows.
 
     A binomial step adds its monomial at most once, a geometric step at
-    q^a at most order // a times; one more bit holds the sign.
+    q^a at most order // a times; one more bit holds the sign.  ``_digits``
+    rounds the count up to a byte-wide signed digit, the layout that both
+    packers share and read back with one unpacker.  ``TruncatedSeries.__mul__``
+    keeps tuple keys, since it is the route this expansion is checked against.
     """
     bound = [0] * nvars
     for f in factors:
@@ -227,6 +237,26 @@ def _digit_bits(factors, order, nvars):
         for i, e in enumerate(f.exps):
             bound[i] += uses * abs(e)
     return max(bound, default=0).bit_length() + 1
+
+
+def _digits(bits, nvars):
+    """The packed layout of nvars signed digits of at least ``bits`` bits.
+
+    Returns ``(width, bias, size, unpack)``: each digit is ``width`` bits,
+    bits rounded up to 8, 16, 32 or 64, so a key holds exponent i at
+    ``width * i``.  ``unpack(((key + bias) ^ bias).to_bytes(size, "little"))``
+    reads a key back as its exponent tuple in C: the bias adds half a digit
+    to every digit, which leaves each digit non-negative and carries nothing
+    over, and the xor flips each digit's top bit back, so every digit is its
+    exponent in two's complement.  A digit past 64 bits raises UsageError.
+    """
+    for code, width in zip("bhiq", (8, 16, 32, 64)):
+        if bits <= width:
+            break
+    else:
+        raise UsageError("a reachable exponent needs %d bits; at most 64 fit" % bits)
+    bias = sum(1 << (width * i + width - 1) for i in range(nvars))
+    return width, bias, width // 8 * nvars, Struct("<%d%s" % (nvars, code)).unpack
 
 
 def _shift_add(rows, src, dst, m, s):
@@ -254,8 +284,8 @@ def pochhammer_expand(factors, order, nvars):
         raise UsageError("truncation order must be non-negative")
     for factor in factors:
         _check_factor(factor, nvars)
-    bits = _digit_bits(factors, order, nvars)
-    shifts = [bits * i for i in range(nvars)]
+    width, bias, size, unpack = _digits(_digit_bits(factors, order, nvars), nvars)
+    shifts = [width * i for i in range(nvars)]
 
     rows = [{0: 1}]
     for factor in factors:
@@ -277,18 +307,9 @@ def pochhammer_expand(factors, order, nvars):
                 for d in range(top - a, -1, -1):
                     _shift_add(rows, d, d + a, m, s)
 
-    # biased by half a digit, every digit of a key is non-negative
-    half = 1 << (bits - 1)
-    mask = (1 << bits) - 1
-    bias = sum(half << shift for shift in shifts)
-    keys = list(set().union(*rows))
-    biased = [k + bias for k in keys]
-    columns = [[(k >> shift & mask) - half for k in biased] for shift in shifts]
-    exps_of = dict(zip(keys, zip(*columns))) if nvars else {0: ()}
     out = TruncatedSeries(order, nvars)
-    out.coeffs = {
-        (d, exps_of[k]): v for d, row in enumerate(rows) for k, v in row.items() if v
-    }
+    out.coeffs = {(d, unpack(((k + bias) ^ bias).to_bytes(size, "little"))): v
+                  for d, row in enumerate(rows) for k, v in row.items() if v}
     return out
 
 
@@ -300,10 +321,12 @@ def gf_from_partitions(partitions, colors, energy, order, transform=None):
     ``part_degree``; e counts the parts' non-ground colors, one variable per
     color of ``colors.non_ground`` (the ground contributes nothing).  Each
     distinct part is weighed once, in order of first occurrence, as the
-    packed int ``(degree << top) + sum(1 << b * var(c))``, and only the
-    distinct sums are unpacked.  A b-bit digit holds any partition's count
-    of one color: the longest partition times the most colors of a part.
-    A part of negative degree raises UsageError.
+    packed int ``(degree << top) + sum(1 << width * var(c))``, and only the
+    distinct sums are unpacked, by ``_digits``.  A digit holds any
+    partition's count of one color, the longest partition times the most
+    colors of a part, with a sign bit to spare: the counts are never
+    negative, so the unpacking needs no bias.  A part of negative degree
+    raises UsageError.
     """
     var = {c: i for i, c in enumerate(colors.non_ground)}
     nvars = len(var)
@@ -314,12 +337,13 @@ def gf_from_partitions(partitions, colors, energy, order, transform=None):
             raise UsageError("negative transformed degree for part %r" % (p,))
         parts[p] = pd, part_color_seq(p)
     widest = max((len(cs) for _, cs in parts.values()), default=0)
-    b = (max(map(len, partitions), default=0) * widest).bit_length()
-    top = b * nvars
-    weight = {p: (pd << top) + sum(1 << b * var[c] for c in cs if c in var)
+    most = max(map(len, partitions), default=0) * widest
+    width, _, size, unpack = _digits(most.bit_length() + 1, nvars)
+    top = width * nvars
+    weight = {p: (pd << top) + sum(1 << width * var[c] for c in cs if c in var)
               for p, (pd, cs) in parts.items()}
     counts = Counter(map(sum, map(partial(map, weight.__getitem__), partitions)))
-    mask = (1 << b) - 1
-    acc = {(key >> top, tuple(key >> b * i & mask for i in range(nvars))): v
+    mask = (1 << top) - 1
+    acc = {(key >> top, unpack((key & mask).to_bytes(size, "little"))): v
            for key, v in counts.items() if key >> top <= order}
     return TruncatedSeries(order, nvars, acc)

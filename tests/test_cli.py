@@ -17,6 +17,7 @@ REGULAR_TEXT = "10a 8a 8b 7b 5a 4a 3a 2b 1a 1b 1b 0c"
 # not minimal (eps(b, a) = 2): the word ba at size 4 has two F2 and two F1
 # members but one R1 member
 NON_MINIMAL_TEXT = "a b g\ng\n0 0 1\n2 0 1\n0 0 0\n"
+ONE_COLOR_TEXT = "g\ng\n0\n"
 
 
 @pytest.fixture()
@@ -353,6 +354,8 @@ EXIT_CODES = (
      "--degree 13 over 3 colors walks 3^13 color words, more than 100000"),
     ("enumerate --family Fk --energy {strict} --max-size 0 --degree 1000000000", 2,
      "--degree 1000000000 over 3 colors walks 3^1000000000 color words, more than 100000"),
+    # one word of 100000 letters: its table is built in one pass, not one round per letter
+    ("count --family Fk --energy {one_color} --word '' --size 0 --degree 100000", 0, "1\n"),
     ("omega --energy {mixed} --in '1c 1a 0c'", 0, "2a 0c\n"),
     ("omega --energy {mixed} --in '5a 1b 0c'", 2,
      "F1 relation fails between Primary(size=5, color=0) and Primary(size=1, color=1)"),
@@ -388,6 +391,8 @@ EXIT_CODES = (
     ("verify --identity glaisher --m 101 --order 2", 2, "--m must be at most 100, got 101"),
     ("series --factors '[{{\"offset\":1}}]' --order 3", 0, "1 + 1*q^1 + 1*q^2 + 2*q^3\n"),
     ("series --factors '[{{\"offset\":1}}' --order 3", 2, "Expecting ',' delimiter"),
+    ("series --colors a --factors '[{{\"exps\": [9223372036854775808], \"offset\": 1}}]' --order 1",
+     2, "at most 64 fit"),
 )
 
 
@@ -396,7 +401,10 @@ def test_exit_codes(capsys, energies, tmp_path, command, code, expected):
     mixed, strict = energies
     non_minimal = tmp_path / "non_minimal.energy"
     non_minimal.write_text(NON_MINIMAL_TEXT)
-    argv = shlex.split(command.format(mixed=mixed, strict=strict, non_minimal=non_minimal))
+    one_color = tmp_path / "one_color.energy"
+    one_color.write_text(ONE_COLOR_TEXT)
+    argv = shlex.split(command.format(mixed=mixed, strict=strict, non_minimal=non_minimal,
+                                      one_color=one_color))
     got, out, err = run(capsys, *argv)
     assert got == code
     if code == 0:

@@ -9,6 +9,7 @@ from partition_forge.characters import build_config, keith_xiong_setup, siladic_
 from partition_forge.core import (
     ColorSystem,
     EnergyMatrix,
+    Primary,
     Secondary,
     SizeTransform,
     UsageError,
@@ -197,6 +198,21 @@ def test_packed_gf_equals_a_tuple_keyed_sum(shipped):
             assert got.coeffs == _looped_gf(found, colors, energy, order), (tag, order)
 
 
+@pytest.mark.parametrize("count", (127, 128))
+def test_packed_gf_at_a_byte_digit_boundary(count):
+    # 127 parts of one color fill a signed 8-bit digit; 128 need 16 bits
+    colors = ColorSystem(("a", "b", "g"), 2)
+    energy = EnergyMatrix(((0, 1, 1), (0, 0, 1), (0, 0, 0)))
+    partitions = [
+        tuple(Primary(1, 0) for _ in range(count)) + (Primary(0, 2),),
+        tuple(Primary(2, 1) for _ in range(count - 1)) + (Primary(1, 0), Primary(0, 2)),
+        (Primary(3, 1), Primary(0, 2)),
+    ]
+    for order in (3, 2 * count, 3 * count):
+        got = gf_from_partitions(partitions, colors, energy, order)
+        assert got.coeffs == _looped_gf(partitions, colors, energy, order), order
+
+
 def test_reciprocal_needs_positive_offset():
     with pytest.raises(UsageError):
         pochhammer_expand((ProductFactor(1, (), 0, 2, reciprocal=True),), 4, 0)
@@ -286,6 +302,31 @@ def test_expansion_matches_the_reference_product(case):
     )
 
 
+@pytest.mark.parametrize("top", (
+    2**7 - 1, 2**7, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1,
+))
+def test_expansion_at_the_digit_boundaries(top):
+    # the exponent bound is top and q^3 reaches it in both signs, so the
+    # digit is 8, 16, 32 or 64 bits wide with nothing to spare, or one step up
+    third = top // 3
+    factors = (
+        ProductFactor(1, (third, -third), 1, 5),
+        ProductFactor(-1, (top - third, third - top), 2, 5),
+    )
+    got = pochhammer_expand(factors, 3, 2)
+    assert got == reference_product(factors, 3, 2)
+    assert got.coeff(3, (top, -top)) == -1
+
+
+def test_expansion_past_64_bit_digits_is_refused():
+    for exps in ((2**63,), (-(2**63),)):
+        with pytest.raises(UsageError, match="at most 64 fit"):
+            pochhammer_expand((ProductFactor(1, exps, 1, 1),), 1, 1)
+    # a geometric step reaches its monomial order // a times
+    with pytest.raises(UsageError, match="at most 64 fit"):
+        pochhammer_expand((ProductFactor(1, (2**62,), 1, 1, reciprocal=True),), 2, 1)
+
+
 @pytest.mark.parametrize("family,ranks,order", (
     ("A2n2", (2, 3, 4), 12),
     ("Dn12-L0", (2, 3, 4), 12),
@@ -344,3 +385,41 @@ def test_ring_identities(a):
     assert a * one == a
     assert a + zero == a
     assert a + (-a) == zero
+
+
+def _product_by_definition(a, b):
+    acc = Counter()
+    for (d1, e1), v1 in a.coeffs.items():
+        for (d2, e2), v2 in b.coeffs.items():
+            if d1 + d2 <= a.order:
+                acc[(d1 + d2, tuple(x + y for x, y in zip(e1, e2)))] += v1 * v2
+    return {key: v for key, v in acc.items() if v}
+
+
+# few exponents and unit coefficients, so products often cancel; degrees
+# run past the order, where the constructor drops them
+sparse_pairs = st.tuples(st.integers(0, 3), st.integers(0, 5)).flatmap(
+    lambda shape: st.tuples(*[st.builds(
+        lambda entries: TruncatedSeries(shape[1], shape[0], entries),
+        st.dictionaries(
+            st.tuples(st.integers(0, shape[1] + 2), st.tuples(*[st.integers(-2, 1)] * shape[0])),
+            st.sampled_from((-2, -1, 1, 1, 3)),
+            max_size=8,
+        ),
+    )] * 2)
+)
+
+
+@given(sparse_pairs)
+@settings(max_examples=200, deadline=None)
+def test_mul_matches_its_definition(pair):
+    a, b = pair
+    want = _product_by_definition(a, b)
+    for got in (a * b, b * a):
+        assert got.coeffs == want
+        assert 0 not in got.coeffs.values()
+        assert (got.order, got.nvars) == (a.order, a.nvars)
+    for k in (3, -1):
+        scaled = {key: k * v for key, v in a.coeffs.items()}
+        assert (a * k).coeffs == scaled and (k * a).coeffs == scaled
+    assert (a * 0).coeffs == {} and (0 * a).coeffs == {}
