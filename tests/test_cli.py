@@ -354,7 +354,7 @@ EXIT_CODES = (
      "--degree 13 over 3 colors walks 3^13 color words, more than 100000"),
     ("enumerate --family Fk --energy {strict} --max-size 0 --degree 1000000000", 2,
      "--degree 1000000000 over 3 colors walks 3^1000000000 color words, more than 100000"),
-    # one word of 100000 letters: its table is built in one pass, not one round per letter
+    # one word of 100000 letters: the word table copies no word per letter
     ("count --family Fk --energy {one_color} --word '' --size 0 --degree 100000", 0, "1\n"),
     ("omega --energy {mixed} --in '1c 1a 0c'", 0, "2a 0c\n"),
     ("omega --energy {mixed} --in '5a 1b 0c'", 2,
