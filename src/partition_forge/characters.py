@@ -211,13 +211,15 @@ def verify_character(family, rank, order):
     direct = character_lhs(config, order, route="direct")
     via_transform = character_lhs(config, order, route="transform")
     rhs = character_rhs(config, order)
+    paths_agree = direct == via_transform
+    lhs_equals_rhs = direct == rhs  # unpacks the product side's rows, so once
     report = {
         "family": family,
         "rank": rank,
         "order": order,
-        "paths_agree": direct == via_transform,
-        "lhs_equals_rhs": direct == rhs,
-        "pass": direct == via_transform and direct == rhs,
+        "paths_agree": paths_agree,
+        "lhs_equals_rhs": lhs_equals_rhs,
+        "pass": paths_agree and lhs_equals_rhs,
     }
     if not report["pass"]:
         diffs = []

@@ -15,7 +15,12 @@ running product as rows by q-degree, and keys each row by one packed int per
 exponent vector, so multiplying by a monomial is one int addition.  Each
 ladder step updates the rows in place: a binomial ``(1 + sign m q^a)`` is a
 shift-and-add, a geometric ``1 / (1 - m q^a)`` a running recurrence
-(``sign`` is ignored on reciprocal factors).
+(``sign`` is ignored on reciprocal factors).  The result keeps those rows:
+its ``coeffs`` is a ``PackedRows``, a read-only ``Mapping`` from
+``(d, exps)`` to the coefficient that counts and sums the rows as they are,
+packs a key to look it up, and unpacks every key only when it is iterated.
+Every other series keeps a plain dict, and ``TruncatedSeries`` reads either
+through the ``Mapping`` interface.
 
 Both packers lay out their exponents as byte-wide signed digits of 8, 16,
 32 or 64 bits, sized so that no reachable exponent overflows, and one
@@ -31,9 +36,10 @@ stops at the order.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import ItemsView, Mapping
 from functools import partial
 from itertools import chain
-from operator import add
+from operator import add, itemgetter
 from struct import Struct
 from typing import NamedTuple
 
@@ -41,7 +47,11 @@ from .core import UsageError, part_color_seq, part_size
 
 
 class TruncatedSeries:
-    """Exact polynomial-style series in q and nvars commuting color variables."""
+    """Exact polynomial-style series in q and nvars commuting color variables.
+
+    ``coeffs`` maps ``(d, exps)`` to a nonzero int: a dict, or for a
+    ``pochhammer_expand`` result the read-only ``PackedRows`` view.
+    """
 
     __slots__ = ("order", "nvars", "coeffs")
 
@@ -87,7 +97,8 @@ class TruncatedSeries:
 
     def __add__(self, other):
         self._check(other)
-        coeffs = dict(self.coeffs)
+        # a dict copies in C; a view unpacks once instead of a lookup per key
+        coeffs = dict(self.coeffs.items() if isinstance(self.coeffs, PackedRows) else self.coeffs)
         for key, v in other.coeffs.items():
             w = coeffs.get(key, 0) + v
             if w:
@@ -150,6 +161,9 @@ class TruncatedSeries:
 
     def q_coefficients(self):
         """Coefficients of q^0..q^order with every color variable set to 1."""
+        if isinstance(self.coeffs, PackedRows):
+            rows = self.coeffs.rows
+            return [sum(row.values()) for row in rows] + [0] * (self.order + 1 - len(rows))
         out = [0] * (self.order + 1)
         for (d, _), v in self.coeffs.items():
             out[d] += v
@@ -157,7 +171,7 @@ class TruncatedSeries:
 
     def terms(self):
         """Sorted (q-degree, exponent vector, coefficient) triples."""
-        return [(d, e, self.coeffs[(d, e)]) for d, e in sorted(self.coeffs)]
+        return sorted((d, e, v) for (d, e), v in self.coeffs.items())
 
     def text(self, var_names=None):
         if not self.coeffs:
@@ -259,6 +273,72 @@ def _digits(bits, nvars):
     return width, bias, width // 8 * nvars, Struct("<%d%s" % (nvars, code)).unpack
 
 
+class PackedRows(Mapping):
+    """Read-only ``(d, exps) -> coeff`` view of rows by q-degree of packed keys.
+
+    ``rows[d]`` maps each packed exponent key to its nonzero coefficient of
+    q^d, laid out by ``codec``, the tuple ``_digits`` returns.  The last row
+    is never empty, so views of one layout are equal exactly when their rows
+    are.  Lookup packs its key: a vector of the wrong length, or an exponent
+    outside the signed digit, is a miss and never another key.  ``items()``
+    and iteration unpack every key, by one comprehension per call.
+    """
+
+    __slots__ = ("rows", "nvars", "codec")
+
+    def __init__(self, rows, nvars, codec):
+        rows = [{k: v for k, v in row.items() if v} if 0 in row.values() else row
+                for row in rows]
+        while rows and not rows[-1]:
+            rows.pop()
+        self.rows = rows
+        self.nvars = nvars
+        self.codec = codec
+
+    def __len__(self):
+        return sum(map(len, self.rows))
+
+    def __getitem__(self, key):
+        width = self.codec[0]
+        half = 1 << width - 1
+        try:
+            d, exps = key
+            if (0 <= d < len(self.rows) and len(exps) == self.nvars
+                    and all(-half <= e < half for e in exps)):
+                v = self.rows[d].get(sum(e << width * i for i, e in enumerate(exps)))
+                if v is not None:
+                    return v
+        except (TypeError, ValueError):
+            pass
+        raise KeyError(key)
+
+    def items(self):
+        return _UnpackedItems(self)
+
+    def __iter__(self):
+        return map(itemgetter(0), self.items())
+
+    def __eq__(self, other):
+        if (isinstance(other, PackedRows) and other.nvars == self.nvars
+                and other.codec[0] == self.codec[0]):
+            return self.rows == other.rows
+        return dict(self.items()) == other
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class _UnpackedItems(ItemsView):
+    """``PackedRows.items()``, each key read back to ``(d, exps)`` in C."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        _, bias, size, unpack = self._mapping.codec
+        return iter([((d, unpack(((k + bias) ^ bias).to_bytes(size, "little"))), v)
+                     for d, row in enumerate(self._mapping.rows) for k, v in row.items()])
+
+
 def _shift_add(rows, src, dst, m, s):
     """rows[dst] += s * x^m * rows[src], for distinct rows on packed keys."""
     into = rows[dst]
@@ -284,8 +364,8 @@ def pochhammer_expand(factors, order, nvars):
         raise UsageError("truncation order must be non-negative")
     for factor in factors:
         _check_factor(factor, nvars)
-    width, bias, size, unpack = _digits(_digit_bits(factors, order, nvars), nvars)
-    shifts = [width * i for i in range(nvars)]
+    codec = _digits(_digit_bits(factors, order, nvars), nvars)
+    shifts = [codec[0] * i for i in range(nvars)]
 
     rows = [{0: 1}]
     for factor in factors:
@@ -308,8 +388,7 @@ def pochhammer_expand(factors, order, nvars):
                     _shift_add(rows, d, d + a, m, s)
 
     out = TruncatedSeries(order, nvars)
-    out.coeffs = {(d, unpack(((k + bias) ^ bias).to_bytes(size, "little"))): v
-                  for d, row in enumerate(rows) for k, v in row.items() if v}
+    out.coeffs = PackedRows(rows, nvars, codec)
     return out
 
 

@@ -148,6 +148,34 @@ def test_character_identity_small_order(family, rank):
     assert report["lhs_equals_rhs"]
 
 
+def test_character_mismatch_names_the_one_wrong_cell(monkeypatch):
+    from partition_forge import characters
+    from partition_forge.series import PackedRows
+
+    real_rhs = characters.character_rhs
+    cells = {}
+
+    def off_by_one(config, order):
+        rhs = real_rhs(config, order)
+        assert isinstance(rhs.coeffs, PackedRows)
+        before = dict(rhs.coeffs.items())
+        row = rhs.coeffs.rows[3]
+        k = min(row)
+        row[k] += 1  # one cell of the packed rows, at q^3
+        (cell,) = [key for key, v in rhs.coeffs.items() if before[key] != v]
+        cells[cell] = before[cell]
+        return rhs
+
+    monkeypatch.setattr(characters, "character_rhs", off_by_one)
+    report = verify_character("A2n2", 2, 5)
+    assert report["paths_agree"] and not report["lhs_equals_rhs"] and not report["pass"]
+    [((d, exps), v)] = cells.items()
+    assert d == 3
+    assert report["mismatches"] == [
+        {"q": 3, "exps": list(exps), "direct": v, "transform": v, "product": v + 1}
+    ]
+
+
 def test_character_rank_three_d_type():
     report = verify_character("Dn12-L0", 3, 4)
     assert report["pass"]

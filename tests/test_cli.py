@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import shlex
 
@@ -421,3 +422,38 @@ def test_every_verb_has_an_exit_code_row():
                 if isinstance(action, argparse._SubParsersAction)]
     covered = {command.split()[0] for command, _, _ in EXIT_CODES}
     assert set(verbs) <= covered
+
+
+MIXED_FACTORS = ('[{"offset": 1, "exps": [1, -2]}, '
+                 '{"offset": 2, "modulus": 3, "exps": [0, 1], "reciprocal": true}]')
+
+# the README examples of series, character and verify, and a multivariate
+# series, --json forms and product columns read through coeff(): sha256 of
+# stdout as printed while pochhammer_expand still returned a tuple-keyed dict
+PRODUCT_SIDE_STDOUT = (
+    ("verify --identity glaisher_analogue --m 3 --order 16",
+     "76521b8ac264525ab3ab435cbf33d8d865031da1c99bf016d9b342738405430b"),
+    ("character --family Bn1-Ln --rank 3 --order 8",
+     "3c4edc5ad63ed2df38323eb28c308a5dcf96b87f3b263f91e49c1a5b723e9725"),
+    ("series --factors '[{\"sign\": 1, \"offset\": 1, \"modulus\": 2}]' --order 9",
+     "87e54d5eaabed86ff51190cd3d8e3922b5de6dc9ae64f2aeacb51d7edd478964"),
+    ("series --factors '%s' --colors a,b --order 8" % MIXED_FACTORS,
+     "03d806167ed446a36120b8f7a95335730b5741e84b4492607a326392531d2dc5"),
+    ("series --factors '%s' --colors a,b --order 8 --json" % MIXED_FACTORS,
+     "c92e2e8d2d5764589055be0fb2c9c4412b2f333c52bc26223d9600ec5a2d0469"),
+    ("character --family Dn12-L0 --rank 2 --order 6 --json",
+     "d9b1767fee3b5c61bf42d3ccdd35ba13c856b7911992c7b3b8bcf9cdedb1f95a"),
+    ("verify --identity euler --order 20",
+     "6f7bae24f85f569fa12d8ad8d82d3efd94999dd275101c35ceac187401097a3b"),
+    ("verify --identity glaisher --m 3 --order 20 --json",
+     "62c1e8d3c5d91b980156cb0fdfe39b15909912c321e75bce0ddde2c4021ee504"),
+    ("verify --identity siladic_companion --order 20",
+     "4acb273829b15c23ffaefcc0f8845922b89201f4dae6540adc744dd1ad695b42"),
+)
+
+
+@pytest.mark.parametrize("command,digest", PRODUCT_SIDE_STDOUT)
+def test_product_side_stdout_is_unchanged(capsys, command, digest):
+    code, out, err = run(capsys, *shlex.split(command))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

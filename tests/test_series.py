@@ -1,3 +1,4 @@
+import json
 import re
 from collections import Counter
 
@@ -19,6 +20,7 @@ from partition_forge.core import (
 )
 from partition_forge.families import Budget, members, walk_members
 from partition_forge.series import (
+    PackedRows,
     ProductFactor,
     TruncatedSeries,
     gf_from_partitions,
@@ -316,6 +318,88 @@ def test_expansion_at_the_digit_boundaries(top):
     got = pochhammer_expand(factors, 3, 2)
     assert got == reference_product(factors, 3, 2)
     assert got.coeff(3, (top, -top)) == -1
+
+
+def _dict_backed(series):
+    return TruncatedSeries(series.order, series.nvars, dict(series.coeffs.items()))
+
+
+@given(product_factors)
+@settings(max_examples=150, deadline=None)
+def test_packed_view_reads_like_its_dict(case):
+    nvars, order, factors = case
+    packed = pochhammer_expand(factors, order, nvars)
+    view = packed.coeffs
+    assert isinstance(view, PackedRows)
+    plain = dict(view.items())
+    assert len(view) == len(plain) and list(view) == list(plain)
+    assert list(view.items()) == list(plain.items())
+    assert 0 not in plain.values()
+    for key, v in plain.items():
+        assert view.get(key) == v and view[key] == v and key in view
+    zeros = (0,) * nvars
+    wrong_lengths = [(0, zeros + (0,))] + [(0, zeros[1:])] * (nvars > 0)
+    for miss in [(-1, zeros), (order + 1, zeros), "q", 7] + wrong_lengths:
+        assert view.get(miss) is None and miss not in view
+    plain_series = _dict_backed(packed)
+    assert packed == plain_series and plain_series == packed
+    assert hash(packed) == hash(plain_series)
+    assert packed + plain_series == plain_series + packed == plain_series * 2
+    assert packed - packed == TruncatedSeries.zero(order, nvars) == -packed + plain_series
+    assert packed.terms() == plain_series.terms()
+    assert packed.q_coefficients() == plain_series.q_coefficients()
+    names = ["x%d" % i for i in range(nvars)]
+    assert packed.text(names) == plain_series.text(names)
+    assert json.dumps(packed.to_json()) == json.dumps(plain_series.to_json())
+
+
+@pytest.mark.parametrize("top", (2**7 - 1, 2**15 - 1))
+def test_packed_view_misses_past_its_digits(top):
+    # the q^3 term (top, -top) fills an 8- or 16-bit digit; a vector that
+    # moves one carry between its digits packs to the same int
+    third = top // 3
+    factors = (
+        ProductFactor(1, (third, -third), 1, 5),
+        ProductFactor(-1, (top - third, third - top), 2, 5),
+    )
+    view = pochhammer_expand(factors, 3, 2).coeffs
+    assert view.codec[0] == top.bit_length() + 1
+    carry = 1 << view.codec[0]
+    assert view[(3, (top, -top))] == -1
+    for exps in ((top + 1, 0), (0, top + 1), (-top - 2, 0), (0, -top - 2),
+                 (top - carry, 1 - top), (top + carry, -top - 1)):
+        assert view.get((3, exps)) is None and (3, exps) not in view
+    assert view[(0, (0, 0))] == 1
+    for exps in ((), (0,), (0, 0, 0)):  # each packs to 0, the key of (0, 0)
+        assert view.get((0, exps)) is None
+
+
+def test_packed_and_dict_series_compare_across_layouts():
+    # x^200 q^2 cancels, but its bound widens the digits: the key of y moves
+    y_q = ProductFactor(1, (0, 1), 1, 5)
+    cancels = (ProductFactor(1, (200, 0), 2, 5), ProductFactor(-1, (200, 0), 2, 5))
+    wide = pochhammer_expand((y_q,) + cancels, 2, 2)
+    narrow = pochhammer_expand((y_q,), 2, 2)
+    assert (wide.coeffs.codec[0], narrow.coeffs.codec[0]) == (16, 8)
+    assert wide.coeffs.rows != narrow.coeffs.rows
+    plain = TruncatedSeries(2, 2, {(0, (0, 0)): 1, (1, (0, 1)): 1})
+    for a, b in ((wide, narrow), (narrow, wide), (wide, plain), (plain, wide)):
+        assert a == b and hash(a) == hash(b)
+    other = TruncatedSeries(2, 2, {(0, (0, 0)): 1, (1, (0, 2)): 1})
+    for a in (wide, narrow):
+        assert a != other and other != a and a.coeffs != other.coeffs
+
+
+def test_cancelling_product_keeps_no_zero():
+    pair = (ProductFactor(-1, (1,), 1, 5), ProductFactor(1, (1,), 1, 5))  # (1 - x q)(1 + x q)
+    got = pochhammer_expand(pair, 2, 1)
+    assert dict(got.coeffs.items()) == {(0, (0,)): 1, (2, (2,)): -1}
+    assert len(got.coeffs) == 2 and (1, (1,)) not in got.coeffs
+    assert got.coeffs.rows == [{0: 1}, {}, {2: -1}] and 0 not in got.coeffs.values()
+    assert got.q_coefficients() == [1, 0, -1]
+    cut = pochhammer_expand(pair, 1, 1)
+    assert cut.coeffs.rows == [{0: 1}]  # no empty row left at the end
+    assert cut == pochhammer_expand((), 1, 1) and cut == TruncatedSeries.one(1, 1)
 
 
 def test_expansion_past_64_bit_digits_is_refused():
