@@ -212,7 +212,7 @@ def verify_character(family, rank, order):
     via_transform = character_lhs(config, order, route="transform")
     rhs = character_rhs(config, order)
     paths_agree = direct == via_transform
-    lhs_equals_rhs = direct == rhs  # unpacks the product side's rows, so once
+    lhs_equals_rhs = direct == rhs  # unpacks rhs's packed rows, so it runs once
     report = {
         "family": family,
         "rank": rank,

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from partition_forge import characters
 from partition_forge.core import (
     SizeTransform,
     UsageError,
@@ -21,7 +22,7 @@ from partition_forge.characters import (
     verify_named_identity,
 )
 from partition_forge.families import Budget, flat_walk, walk_members
-from partition_forge.series import ProductFactor, TruncatedSeries, pochhammer_expand
+from partition_forge.series import PackedRows, ProductFactor, TruncatedSeries, pochhammer_expand
 
 from helpers import small_energies
 
@@ -149,9 +150,6 @@ def test_character_identity_small_order(family, rank):
 
 
 def test_character_mismatch_names_the_one_wrong_cell(monkeypatch):
-    from partition_forge import characters
-    from partition_forge.series import PackedRows
-
     real_rhs = characters.character_rhs
     cells = {}
 
