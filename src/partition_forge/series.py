@@ -97,8 +97,7 @@ class TruncatedSeries:
 
     def __add__(self, other):
         self._check(other)
-        # a dict copies in C; a view unpacks once instead of a lookup per key
-        coeffs = dict(self.coeffs.items() if isinstance(self.coeffs, PackedRows) else self.coeffs)
+        coeffs = dict(self.coeffs)
         for key, v in other.coeffs.items():
             w = coeffs.get(key, 0) + v
             if w:
@@ -277,29 +276,26 @@ class PackedRows(Mapping):
     """Read-only ``(d, exps) -> coeff`` view of rows by q-degree of packed keys.
 
     ``rows[d]`` maps each packed exponent key to its nonzero coefficient of
-    q^d, laid out by ``codec``, the tuple ``_digits`` returns.  The last row
-    is never empty, so views of one layout are equal exactly when their rows
-    are.  Lookup packs its key: a vector of the wrong length, or an exponent
-    outside the signed digit, is a miss and never another key.  ``items()``
-    and iteration unpack every key, by one comprehension per call.
+    q^d, in ``_digits``'s layout of ``width``-bit digits.  Lookup packs its
+    key: a vector of the wrong length, or an exponent outside the signed
+    digit, is a miss and never another key.  ``items()`` and iteration
+    unpack every key, by one comprehension per call.  The view keeps only
+    the width, not the ``struct`` unpacker, so it pickles and copies.
     """
 
-    __slots__ = ("rows", "nvars", "codec")
+    __slots__ = ("rows", "nvars", "width")
 
-    def __init__(self, rows, nvars, codec):
-        rows = [{k: v for k, v in row.items() if v} if 0 in row.values() else row
-                for row in rows]
-        while rows and not rows[-1]:
-            rows.pop()
-        self.rows = rows
+    def __init__(self, rows, nvars, width):
+        self.rows = [{k: v for k, v in row.items() if v} if 0 in row.values() else row
+                     for row in rows]
         self.nvars = nvars
-        self.codec = codec
+        self.width = width
 
     def __len__(self):
         return sum(map(len, self.rows))
 
     def __getitem__(self, key):
-        width = self.codec[0]
+        width = self.width
         half = 1 << width - 1
         try:
             d, exps = key
@@ -319,13 +315,7 @@ class PackedRows(Mapping):
         return map(itemgetter(0), self.items())
 
     def __eq__(self, other):
-        if (isinstance(other, PackedRows) and other.nvars == self.nvars
-                and other.codec[0] == self.codec[0]):
-            return self.rows == other.rows
         return dict(self.items()) == other
-
-    def __repr__(self):
-        return repr(dict(self.items()))
 
 
 class _UnpackedItems(ItemsView):
@@ -334,9 +324,10 @@ class _UnpackedItems(ItemsView):
     __slots__ = ()
 
     def __iter__(self):
-        _, bias, size, unpack = self._mapping.codec
+        view = self._mapping
+        _, bias, size, unpack = _digits(view.width, view.nvars)
         return iter([((d, unpack(((k + bias) ^ bias).to_bytes(size, "little"))), v)
-                     for d, row in enumerate(self._mapping.rows) for k, v in row.items()])
+                     for d, row in enumerate(view.rows) for k, v in row.items()])
 
 
 def _shift_add(rows, src, dst, m, s):
@@ -364,8 +355,8 @@ def pochhammer_expand(factors, order, nvars):
         raise UsageError("truncation order must be non-negative")
     for factor in factors:
         _check_factor(factor, nvars)
-    codec = _digits(_digit_bits(factors, order, nvars), nvars)
-    shifts = [codec[0] * i for i in range(nvars)]
+    width = _digits(_digit_bits(factors, order, nvars), nvars)[0]
+    shifts = [width * i for i in range(nvars)]
 
     rows = [{0: 1}]
     for factor in factors:
@@ -388,7 +379,7 @@ def pochhammer_expand(factors, order, nvars):
                     _shift_add(rows, d, d + a, m, s)
 
     out = TruncatedSeries(order, nvars)
-    out.coeffs = PackedRows(rows, nvars, codec)
+    out.coeffs = PackedRows(rows, nvars, width)
     return out
 
 

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import re
 from collections import Counter
 
@@ -363,8 +365,8 @@ def test_packed_view_misses_past_its_digits(top):
         ProductFactor(-1, (top - third, third - top), 2, 5),
     )
     view = pochhammer_expand(factors, 3, 2).coeffs
-    assert view.codec[0] == top.bit_length() + 1
-    carry = 1 << view.codec[0]
+    assert view.width == top.bit_length() + 1
+    carry = 1 << view.width
     assert view[(3, (top, -top))] == -1
     for exps in ((top + 1, 0), (0, top + 1), (-top - 2, 0), (0, -top - 2),
                  (top - carry, 1 - top), (top + carry, -top - 1)):
@@ -380,7 +382,7 @@ def test_packed_and_dict_series_compare_across_layouts():
     cancels = (ProductFactor(1, (200, 0), 2, 5), ProductFactor(-1, (200, 0), 2, 5))
     wide = pochhammer_expand((y_q,) + cancels, 2, 2)
     narrow = pochhammer_expand((y_q,), 2, 2)
-    assert (wide.coeffs.codec[0], narrow.coeffs.codec[0]) == (16, 8)
+    assert (wide.coeffs.width, narrow.coeffs.width) == (16, 8)
     assert wide.coeffs.rows != narrow.coeffs.rows
     plain = TruncatedSeries(2, 2, {(0, (0, 0)): 1, (1, (0, 1)): 1})
     for a, b in ((wide, narrow), (narrow, wide), (wide, plain), (plain, wide)):
@@ -398,8 +400,18 @@ def test_cancelling_product_keeps_no_zero():
     assert got.coeffs.rows == [{0: 1}, {}, {2: -1}] and 0 not in got.coeffs.values()
     assert got.q_coefficients() == [1, 0, -1]
     cut = pochhammer_expand(pair, 1, 1)
-    assert cut.coeffs.rows == [{0: 1}]  # no empty row left at the end
+    assert cut.q_coefficients() == [1, 0]
     assert cut == pochhammer_expand((), 1, 1) and cut == TruncatedSeries.one(1, 1)
+
+
+def test_packed_series_pickles_and_copies():
+    factors = (ProductFactor(1, (1, -2), 1, 2), ProductFactor(-1, (0, 3), 2, 3, reciprocal=True))
+    packed = pochhammer_expand(factors, 6, 2)
+    assert isinstance(packed.coeffs, PackedRows)
+    for twin in (pickle.loads(pickle.dumps(packed)), copy.deepcopy(packed), copy.copy(packed)):
+        assert isinstance(twin.coeffs, PackedRows)
+        assert twin == packed and hash(twin) == hash(packed)
+        assert twin.terms() == packed.terms() and twin.coeff(1, (1, -2)) == 1
 
 
 def test_expansion_past_64_bit_digits_is_refused():
