@@ -5,6 +5,7 @@ from partition_forge.characters import verify_named_identity
 for name, m, order in (
     ("euler", None, 12),
     ("glaisher", 3, 12),
+    ("keith_xiong", 3, 12),
     ("glaisher_analogue", 3, 18),
     ("siladic_companion", None, 16),
 ):

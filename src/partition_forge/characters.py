@@ -7,6 +7,10 @@ under a change of variables, and the product side of its character.  The
 character is verified as an exact truncated-series identity, with the flat
 side enumerated both directly under the transformed energy and as the
 transform of the untransformed enumeration.
+
+Each named identity is one table of ``TruncatedSeries`` columns.  Row n
+shows each column's coefficient of q^n and matches when those counts agree
+and every column in color variables has the same degree-n slice.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from . import classic
 from .core import ColorSystem, EnergyMatrix, SizeTransform, UsageError
 from .families import Budget, flat_walk, walk_members
-from .series import ProductFactor, gf_from_partitions, pochhammer_expand
+from .series import ProductFactor, TruncatedSeries, gf_from_partitions, pochhammer_expand
 
 CHARACTER_FAMILIES = ("A2n2", "Dn12-L0", "Dn12-Ln", "Bn1-Ln")
 
@@ -207,6 +211,7 @@ def character_rhs(config, order):
 
 def verify_character(family, rank, order):
     """Compare both flat enumeration routes against the product side."""
+    _need_order(order)
     config = build_config(family, rank)
     direct = character_lhs(config, order, route="direct")
     via_transform = character_lhs(config, order, route="transform")
@@ -283,108 +288,110 @@ def _walk_gf(tag, setup, order):
 
 
 def verify_named_identity(name, order, m=None):
-    """Exact per-coefficient verification of one named identity."""
-    if name == "keith_xiong":
-        return _report(name, m, order, _keith_xiong_rows(_need_m(m), order))
+    """Exact per-coefficient verification of one named identity; ``keith_xiong``
+    rows also count the residue vectors of its ``flat`` column."""
+    _need_order(order)
+    if m is not None and name in ("euler", "siladic_companion"):
+        raise UsageError("identity %s takes no modulus m" % name)
     columns = _identity_columns(name, order, m)
+    slices = {label: _by_degree(series) for label, series in columns.items()}
+    colored = [slices[label] for label, series in columns.items() if series.nvars]
     rows = []
     for n in range(order + 1):
-        counts = {label: count(n) for label, count in columns.items()}
-        rows.append({"n": n, **counts, "match": len(set(counts.values())) == 1})
-    return _report(name, m, order, rows)
+        vectors = {"vectors": len(slices["flat"][n])} if name == "keith_xiong" else {}
+        counts = {label: sum(by_degree[n].values()) for label, by_degree in slices.items()}
+        match = len(set(counts.values())) == 1 and all(s[n] == colored[0][n] for s in colored)
+        rows.append({"n": n, **vectors, **counts, "match": match})
+    return {
+        "identity": name,
+        "m": m,
+        "order": order,
+        "rows": rows,
+        "pass": all(row["match"] for row in rows),
+    }
 
 
 def _identity_columns(name, order, m):
-    """``{label: count}`` per identity: each count maps n to one side's
-    coefficient, and the labels are the row keys in order."""
+    """``{label: series}`` per identity, the labels being the row keys in
+    order: walked sides, product sides, and classical counts as q-only series
+    (``keith_xiong``'s in its m - 1 residue variables)."""
     if name == "euler":
-        prod1 = pochhammer_expand((ProductFactor(1, (), 1, 1),), order, 0)
-        prod2 = pochhammer_expand(
-            (ProductFactor(-1, (), 2, 2), ProductFactor(-1, (), 1, 1, reciprocal=True)),
-            order,
-            0,
-        )
         return {
-            "distinct": classic.count_distinct,
-            "odd": classic.count_odd,
-            "product": prod1.coeff,
-            "quotient_product": prod2.coeff,
+            "distinct": _classical(order, classic.is_distinct),
+            "odd": _classical(order, classic.is_all_odd),
+            "product": pochhammer_expand((ProductFactor(1, (), 1, 1),), order, 0),
+            "quotient_product": _glaisher_product(2, order),
         }
 
     if name == "glaisher":
         m = _need_m(m)
-        prod = pochhammer_expand(
-            (ProductFactor(-1, (), m, m), ProductFactor(-1, (), 1, 1, reciprocal=True)),
-            order,
-            0,
-        )
         return {
-            "regular": lambda n: classic.count_m_regular(n, m),
-            "occurrences": lambda n: classic.count_occurrences_below(n, m),
-            "flat": lambda n: classic.count_m_flat(n, m),
-            "product": prod.coeff,
+            "regular": _classical(order, lambda lam: classic.is_m_regular(lam, m)),
+            "occurrences": _classical(order, lambda lam: classic.occurrences_below(lam, m)),
+            "flat": _classical(order, lambda lam: classic.is_m_flat(lam, m)),
+            "product": _glaisher_product(m, order),
+        }
+
+    if name == "keith_xiong":
+        m = _need_m(m)
+        setup = keith_xiong_setup(m)
+        flat, regular = Counter(), Counter()
+        for n in range(order + 1):
+            for lam in classic.partitions_of(n):
+                key = (n, classic.residue_vector(lam, m))
+                if classic.is_m_flat(lam, m):
+                    flat[key] += 1
+                if classic.is_m_regular(lam, m):
+                    regular[key] += 1
+        return {
+            "flat": TruncatedSeries(order, m - 1, flat),
+            "regular": TruncatedSeries(order, m - 1, regular),
+            "flat_colored": _walk_gf("F1", setup, order),
+            "regular_colored": _walk_gf("R1", setup, order),
         }
 
     if name == "glaisher_analogue":
         m = _need_m(m)
         setup = glaisher_analogue_setup(m)
         return {
-            "regular_distinct": lambda n: classic.count_m_regular_distinct(n, m),
-            "flat_second_kind": lambda n: classic.count_second_kind_flat(n, m),
-            "flat_colored": _walk_gf("F1", setup, order).q_coefficients().__getitem__,
-            "regular_colored": _walk_gf("R1", setup, order).q_coefficients().__getitem__,
+            "regular_distinct": _classical(
+                order, lambda lam: classic.is_m_regular_distinct(lam, m)),
+            "flat_second_kind": _classical(
+                order, lambda lam: classic.is_second_kind_flat(lam, m)),
+            "flat_colored": _walk_gf("F1", setup, order),
+            "regular_colored": _walk_gf("R1", setup, order),
         }
 
     if name == "siladic_companion":
         setup = siladic_setup()
-        a_side, b_side, o_side = (_walk_gf(tag, setup, order).q_coefficients()
-                                  for tag in ("R2", "F2", "O+"))
-        prod = pochhammer_expand((ProductFactor(1, (), 1, 2),), order, 0)
         return {
-            "A": a_side.__getitem__,
-            "B": b_side.__getitem__,
-            "primary": o_side.__getitem__,
-            "distinct_odd": classic.count_distinct_odd,
-            "product": prod.coeff,
+            "A": _walk_gf("R2", setup, order),
+            "B": _walk_gf("F2", setup, order),
+            "primary": _walk_gf("O+", setup, order),
+            "distinct_odd": _classical(order, classic.is_distinct_odd),
+            "product": pochhammer_expand((ProductFactor(1, (), 1, 2),), order, 0),
         }
 
     raise UsageError("unknown identity %r" % (name,))
 
 
-def _keith_xiong_rows(m, order):
-    """Rows of the refinement by residue vector: the classical m-flat and
-    m-regular partitions against both colored families."""
-    setup = keith_xiong_setup(m)
-    flat_w, reg_w = (_by_degree(_walk_gf(tag, setup, order)) for tag in ("F1", "R1"))
-    rows = []
-    for n in range(order + 1):
-        flat_c = Counter()
-        reg_c = Counter()
-        for lam in classic.partitions_of(n):
-            vec = classic.residue_vector(lam, m)
-            if classic.is_m_flat(lam, m):
-                flat_c[vec] += 1
-            if classic.is_m_regular(lam, m):
-                reg_c[vec] += 1
-        flat_ww, reg_ww = flat_w[n], reg_w[n]
-        match = flat_c == reg_c == flat_ww == reg_ww
-        rows.append(
-            {
-                "n": n,
-                "vectors": len(flat_c),
-                "flat": sum(flat_c.values()),
-                "regular": sum(reg_c.values()),
-                "flat_colored": sum(flat_ww.values()),
-                "regular_colored": sum(reg_ww.values()),
-                "match": match,
-            }
-        )
-    return rows
+def _glaisher_product(m, order):
+    """(q^m; q^m)_inf / (q; q)_inf, Glaisher's product side and Euler's at m = 2."""
+    return pochhammer_expand(
+        (ProductFactor(-1, (), m, m), ProductFactor(-1, (), 1, 1, reciprocal=True)), order, 0
+    )
+
+
+def _classical(order, predicate):
+    """q-only series of the classical partition counts under ``predicate``."""
+    return TruncatedSeries(
+        order, 0, {(n, ()): classic.count(n, predicate) for n in range(order + 1)}
+    )
 
 
 def _by_degree(series):
-    """Per q-degree, a Counter of the coefficients by exponent vector."""
-    rows = [Counter() for _ in range(series.order + 1)]
+    """Per q-degree, a dict of the coefficients by exponent vector."""
+    rows = [{} for _ in range(series.order + 1)]
     for (d, exps), v in series.coeffs.items():
         rows[d][exps] = v
     return rows
@@ -396,11 +403,6 @@ def _need_m(m):
     return m
 
 
-def _report(name, m, order, rows):
-    return {
-        "identity": name,
-        "m": m,
-        "order": order,
-        "rows": rows,
-        "pass": all(row["match"] for row in rows),
-    }
+def _need_order(order):
+    if order < 0:
+        raise UsageError("truncation order must be non-negative")

@@ -1,8 +1,9 @@
-"""Textbook integer-partition generators and counters.
+"""Textbook integer-partition generators, predicates and one counter.
 
 These are the independent oracles: deliberately naive, derived straight
 from the classical definitions, and never routed through the colored
-machinery they are used to check.
+machinery they are used to check.  ``count(n, predicate)`` counts the
+partitions of n that satisfy one of the predicates below.
 """
 
 from __future__ import annotations
@@ -32,8 +33,16 @@ def is_all_odd(lam):
     return all(v % 2 for v in lam)
 
 
+def is_distinct_odd(lam):
+    return is_distinct(lam) and is_all_odd(lam)
+
+
 def is_m_regular(lam, m):
     return all(v % m for v in lam)
+
+
+def is_m_regular_distinct(lam, m):
+    return is_m_regular(lam, m) and is_distinct(lam)
 
 
 def occurrences_below(lam, m):
@@ -66,38 +75,6 @@ def is_second_kind_flat(lam, m):
 
 def count(n, predicate):
     return sum(1 for lam in partitions_of(n) if predicate(lam))
-
-
-def count_distinct(n):
-    return count(n, is_distinct)
-
-
-def count_odd(n):
-    return count(n, is_all_odd)
-
-
-def count_distinct_odd(n):
-    return count(n, lambda lam: is_distinct(lam) and is_all_odd(lam))
-
-
-def count_m_regular(n, m):
-    return count(n, lambda lam: is_m_regular(lam, m))
-
-
-def count_occurrences_below(n, m):
-    return count(n, lambda lam: occurrences_below(lam, m))
-
-
-def count_m_flat(n, m):
-    return count(n, lambda lam: is_m_flat(lam, m))
-
-
-def count_m_regular_distinct(n, m):
-    return count(n, lambda lam: is_m_regular(lam, m) and is_distinct(lam))
-
-
-def count_second_kind_flat(n, m):
-    return count(n, lambda lam: is_second_kind_flat(lam, m))
 
 
 def residue_vector(lam, m):

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from partition_forge import characters
+from partition_forge import characters, classic
 from partition_forge.core import (
     SizeTransform,
     UsageError,
@@ -218,13 +218,45 @@ def test_named_identity_row_keys(name, m, keys):
 
 
 def test_named_identity_flags_a_differing_count(monkeypatch):
-    from partition_forge import classic
-
-    count_odd = classic.count_odd
-    monkeypatch.setattr(classic, "count_odd", lambda n: count_odd(n) + (n == 3))
+    is_all_odd = classic.is_all_odd
+    monkeypatch.setattr(classic, "is_all_odd", lambda lam: is_all_odd(lam) or lam == (2, 1))
     report = verify_named_identity("euler", 5)
     assert not report["pass"]
     assert [row["n"] for row in report["rows"] if not row["match"]] == [3]
+
+
+@pytest.mark.parametrize("name,m,tag", (("glaisher_analogue", 3, "F1"),
+                                        ("siladic_companion", None, "R2")))
+def test_named_identity_compares_walked_columns_by_color(monkeypatch, name, m, tag):
+    # swapping the two color variables of one walked column keeps every
+    # q-count, so only the full degree-n slices can tell the sides apart
+    walk_gf = characters._walk_gf
+
+    def swapped(walked_tag, setup, order):
+        series = walk_gf(walked_tag, setup, order)
+        if walked_tag != tag:
+            return series
+        assert series.nvars == 2
+        swap = {(d, exps[::-1]): v for (d, exps), v in series.coeffs.items()}
+        return TruncatedSeries(order, 2, swap)
+
+    monkeypatch.setattr(characters, "_walk_gf", swapped)
+    report = verify_named_identity(name, 8, m=m)
+    for row in report["rows"]:
+        assert len({v for k, v in row.items() if k not in ("n", "match")}) == 1, row
+    assert not report["pass"] and not report["rows"][1]["match"]
+
+
+def test_keith_xiong_compares_residue_vectors(monkeypatch):
+    # 1 + 1 has residue vector (2, 0) mod 3; moving it to (0, 2) keeps
+    # every count and the number of vectors at n = 2
+    residue_vector = classic.residue_vector
+    monkeypatch.setattr(classic, "residue_vector", lambda lam, m: (
+        residue_vector(lam, m)[::-1] if lam == (1, 1) else residue_vector(lam, m)))
+    report = verify_named_identity("keith_xiong", 5, m=3)
+    assert [row["n"] for row in report["rows"] if not row["match"]] == [2]
+    assert report["rows"][2] == {"n": 2, "vectors": 2, "flat": 2, "regular": 2,
+                                 "flat_colored": 2, "regular_colored": 2, "match": False}
 
 
 def test_identity_argument_errors():

@@ -386,10 +386,16 @@ EXIT_CODES = (
     ("character --family A2n2 --rank 2 --order 2", 0,
      "A2n2 rank 2 to order 2: paths agree, product matches\n"),
     ("character --family A2n2 --rank 2 --order 31", 2, "--order must be at most 30, got 31"),
+    ("character --family A2n2 --rank 2 --order -1", 2, "truncation order must be non-negative"),
     ("verify --identity euler --order 3", 0, None),
     ("verify --identity euler --order 51", 2, "--order must be at most 50, got 51"),
     ("verify --identity glaisher --m 100 --order 2", 0, None),
     ("verify --identity glaisher --m 101 --order 2", 2, "--m must be at most 100, got 101"),
+    ("verify --identity siladic_companion --order -1", 2, "truncation order must be non-negative"),
+    ("verify --identity keith_xiong --m 2 --order -1", 2, "truncation order must be non-negative"),
+    ("verify --identity euler --m 1 --order 3", 2, "identity euler takes no modulus m"),
+    ("verify --identity siladic_companion --m 3 --order 3", 2,
+     "identity siladic_companion takes no modulus m"),
     ("series --factors '[{{\"offset\":1}}]' --order 3", 0, "1 + 1*q^1 + 1*q^2 + 2*q^3\n"),
     ("series --factors '[{{\"offset\":1}}' --order 3", 2, "Expecting ',' delimiter"),
     ("series --colors a --factors '[{{\"exps\": [9223372036854775808], \"offset\": 1}}]' --order 1",
@@ -429,7 +435,8 @@ MIXED_FACTORS = ('[{"offset": 1, "exps": [1, -2]}, '
 
 # the README examples of series, character and verify, and a multivariate
 # series, --json forms and product columns read through coeff(): sha256 of
-# stdout as printed while pochhammer_expand still returned a tuple-keyed dict
+# stdout as printed while pochhammer_expand still returned a tuple-keyed dict;
+# keith_xiong's as printed while its rows had their own code path
 PRODUCT_SIDE_STDOUT = (
     ("verify --identity glaisher_analogue --m 3 --order 16",
      "76521b8ac264525ab3ab435cbf33d8d865031da1c99bf016d9b342738405430b"),
@@ -449,6 +456,10 @@ PRODUCT_SIDE_STDOUT = (
      "62c1e8d3c5d91b980156cb0fdfe39b15909912c321e75bce0ddde2c4021ee504"),
     ("verify --identity siladic_companion --order 20",
      "4acb273829b15c23ffaefcc0f8845922b89201f4dae6540adc744dd1ad695b42"),
+    ("verify --identity keith_xiong --m 3 --order 12",
+     "9e4b0e7bb4c54118d253e810775a4cb4a989213189f34355a2621fab21f02f39"),
+    ("verify --identity keith_xiong --m 2 --order 10 --json",
+     "92f459910d3249bf303f4a67143eb9904571cbd05c2763063e900ac516817bff"),
 )
 
 

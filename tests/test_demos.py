@@ -15,7 +15,7 @@ EXPECTED = {
     "01_flat_to_regular.py": ["roundtrip: ok"],
     "02_degree_two_chain.py": [],
     "03_characters.py": ["routes agree: True", "lhs == product: True"],
-    "04_named_identities.py": ["euler: pass", "glaisher(m=3): pass",
+    "04_named_identities.py": ["euler: pass", "glaisher(m=3): pass", "keith_xiong(m=3): pass",
                                "glaisher_analogue(m=3): pass", "siladic_companion: pass"],
 }
 

@@ -61,13 +61,13 @@ def test_constant_term_of_positive_offset_products():
 def test_distinct_parts_product():
     # (-q; q)_inf counts partitions into distinct parts
     series = pochhammer_expand((ProductFactor(1, (), 1, 1),), 5, 0)
-    assert series.q_coefficients() == [classic.count_distinct(n) for n in range(6)]
+    assert series.q_coefficients() == [classic.count(n, classic.is_distinct) for n in range(6)]
 
 
 def test_distinct_odd_product():
     series = pochhammer_expand((ProductFactor(1, (), 1, 2),), 9, 0)
     assert series.q_coefficients() == [1, 1, 0, 1, 1, 1, 1, 1, 2, 2]
-    assert series.q_coefficients() == [classic.count_distinct_odd(n) for n in range(10)]
+    assert series.q_coefficients() == [classic.count(n, classic.is_distinct_odd) for n in range(10)]
 
 
 def test_euler_product_equality():
@@ -87,7 +87,7 @@ def test_three_regular_product_coefficient():
         16,
         0,
     )
-    assert series.coeff(16) == classic.count_m_regular(16, 3)
+    assert series.coeff(16) == classic.count(16, lambda lam: classic.is_m_regular(lam, 3))
 
 
 @pytest.mark.parametrize("m", (2, 3, 4))
@@ -99,9 +99,9 @@ def test_glaisher_product_three_ways(m):
     )
     for n in range(21):
         expected = series.coeff(n)
-        assert classic.count_m_regular(n, m) == expected
-        assert classic.count_occurrences_below(n, m) == expected
-        assert classic.count_m_flat(n, m) == expected
+        assert classic.count(n, lambda lam: classic.is_m_regular(lam, m)) == expected
+        assert classic.count(n, lambda lam: classic.occurrences_below(lam, m)) == expected
+        assert classic.count(n, lambda lam: classic.is_m_flat(lam, m)) == expected
 
 
 def test_gf_from_partitions_empty():
