@@ -1,11 +1,14 @@
 """Level-one character configurations and the named identity verifiers.
 
-Each configuration packages a color system, a minimal energy whose regular
-partitions form one strict well-ordered chain (with at most one repeatable
-color or one alternating pair), the transformed energy the chain acquires
-under a change of variables, and the product side of its character.  The
-character is verified as an exact truncated-series identity, with the flat
-side enumerated both directly under the transformed energy and as the
+Each configuration is one row of ``_FAMILIES``: its least rank, its color
+labels in chain order with the ground last, the labels that repeat or the
+pair that alternates, the scale and shifts of its change of variables, and
+the ladders of its product side.  ``build_config`` reads every row the same
+way.  One rule, ``_chain_energy``, gives the minimal energy of every chain,
+here and in the named identities' setups: eps(x, y) is 1 when x precedes y,
+or when x = y is a non-ground color that does not repeat, and 0 otherwise.
+The character is verified as an exact truncated-series identity, with the
+flat side enumerated both directly under the transformed energy and as the
 transform of the untransformed enumeration.
 
 Each named identity is one table of ``TruncatedSeries`` columns.  Row n
@@ -17,13 +20,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import classic
 from .core import ColorSystem, EnergyMatrix, SizeTransform, UsageError
 from .families import Budget, flat_walk, walk_members
 from .series import ProductFactor, TruncatedSeries, gf_from_partitions, pochhammer_expand
-
-CHARACTER_FAMILIES = ("A2n2", "Dn12-L0", "Dn12-Ln", "Bn1-Ln")
 
 IDENTITIES = (
     "euler",
@@ -45,134 +47,79 @@ class CrystalConfig:
     rhs_factors: tuple
 
 
-def _chain_energy(colors, repeats=(), zero_pairs=()):
+class _Family(NamedTuple):
+    """One configuration at one rank, as ``build_config`` reads it."""
+
+    least: int  # the least rank
+    chain: tuple  # color labels in chain order, the ground last
+    repeats: tuple  # labels that may repeat
+    alternating: tuple  # a pair of labels that alternate freely
+    scale: int
+    shifts: dict  # shift by label, 0 where absent
+    ladders: tuple  # (monomials, offset, modulus, reciprocal), one factor per monomial
+
+
+# Each family's row, from its rank's unbarred labels c = c1..cn and barred
+# labels cb = cbn..cb1.  A monomial is its labels joined by spaces.
+_FAMILIES = {
+    "A2n2": lambda c, cb: _Family(
+        2, c + cb + ("c0",), (), (), 2, dict.fromkeys(c + cb, -1),
+        ((c + cb, 1, 2, False),)),
+    "Dn12-L0": lambda c, cb: _Family(
+        2, c + ("c0b",) + cb + ("c0",), ("c0b",), (), 2, dict.fromkeys(c + cb + ("c0b",), -1),
+        ((c + cb, 1, 2, False), (("c0b",), 1, 2, True))),
+    "Dn12-Ln": lambda c, cb: _Family(
+        2, cb + ("c0",) + c + ("c0b",), ("c0",), (), 2, {**dict.fromkeys(cb, -2), "c0": -1},
+        ((c, 2, 2, False), (cb, 0, 2, False), (("c0",), 1, 2, True))),
+    "Bn1-Ln": lambda c, cb: _Family(
+        3, cb + c + ("c0b",), (), ("cb1", "c1"), 1, dict.fromkeys(cb, -1),
+        ((c, 1, 1, False), (cb, 0, 1, False), (("c1 cb1",), 1, 2, True))),
+}
+
+CHARACTER_FAMILIES = tuple(_FAMILIES)
+
+
+def _chain_energy(colors, repeats=(), alternating=()):
     """Minimal energy for one strict chain given by the color order.
 
-    Colors are listed smallest-first with the ground last; eps(x, y) is 1
-    when x precedes or equals y in the chain, except that colors in
-    ``repeats`` may repeat and pairs in ``zero_pairs`` alternate freely.
+    eps(x, y) is 1 when x precedes y, or when x = y is a non-ground color
+    not in ``repeats``.  Otherwise it is 0, and so the ``alternating`` pair
+    has 0 both ways.  The ground may sit anywhere in the chain.
     """
-    g = colors.ground
-    n = colors.n
-    rows = []
-    for x in range(n):
-        row = []
-        for y in range(n):
-            if x == g:
-                row.append(0)
-            elif y == g:
-                row.append(1)
-            elif x == y:
-                row.append(0 if x in repeats else 1)
-            elif (x, y) in zero_pairs:
-                row.append(0)
-            else:
-                row.append(1 if x <= y else 0)
-        rows.append(tuple(row))
-    return EnergyMatrix(tuple(rows))
-
-
-def _transformed_energy(energy, transform):
-    n = energy.n
-    sc, sh = transform.scale, transform.shifts
-    rows = tuple(
-        tuple(sc * energy.e(x, y) + sh[x] - sh[y] for y in range(n))
-        for x in range(n)
-    )
-    return EnergyMatrix(rows)
+    g, pair = colors.ground, tuple(sorted(alternating))
+    return EnergyMatrix([
+        [int(x < y and (x, y) != pair or x == y != g and x not in repeats)
+         for y in range(colors.n)]
+        for x in range(colors.n)
+    ])
 
 
 def build_config(family, rank):
     """Color system, energies, transformation, and product side for one module."""
-    n = rank
-    if family == "A2n2":
-        if n < 2:
-            raise UsageError("A-type configuration needs rank >= 2")
-        names = tuple("c%d" % i for i in range(1, n + 1))
-        names += tuple("cb%d" % i for i in range(n, 0, -1))
-        names += ("c0",)
-        colors = ColorSystem(names, len(names) - 1)
-        energy = _chain_energy(colors)
-        shifts = tuple(-1 if c != colors.ground else 0 for c in range(colors.n))
-        transform = SizeTransform(2, shifts)
-        factors = tuple(
-            ProductFactor(1, _unit(colors, label), 1, 2)
-            for label in names[:-1]
-        )
-    elif family in ("Dn12-L0", "Dn12-Ln"):
-        if n < 2:
-            raise UsageError("D-type configuration needs rank >= 2")
-        unbarred = tuple("c%d" % i for i in range(1, n + 1))
-        barred = tuple("cb%d" % i for i in range(n, 0, -1))
-        if family == "Dn12-L0":
-            names = unbarred + ("c0b",) + barred + ("c0",)
-            colors = ColorSystem(names, len(names) - 1)
-            energy = _chain_energy(colors, repeats=(colors.index("c0b"),))
-            shifts = tuple(-1 if c != colors.ground else 0 for c in range(colors.n))
-            transform = SizeTransform(2, shifts)
-            factors = tuple(
-                ProductFactor(1, _unit(colors, label), 1, 2)
-                for label in unbarred + barred
-            )
-            factors += (ProductFactor(1, _unit(colors, "c0b"), 1, 2, reciprocal=True),)
-        else:
-            names = barred + ("c0",) + unbarred + ("c0b",)
-            colors = ColorSystem(names, len(names) - 1)
-            energy = _chain_energy(colors, repeats=(colors.index("c0"),))
-            shifts = [0] * colors.n
-            shifts[colors.index("c0")] = -1
-            for label in barred:
-                shifts[colors.index(label)] = -2
-            transform = SizeTransform(2, tuple(shifts))
-            factors = tuple(
-                ProductFactor(1, _unit(colors, label), 2, 2) for label in unbarred
-            )
-            factors += tuple(
-                ProductFactor(1, _unit(colors, label), 0, 2) for label in barred
-            )
-            factors += (ProductFactor(1, _unit(colors, "c0"), 1, 2, reciprocal=True),)
-    elif family == "Bn1-Ln":
-        if n < 3:
-            raise UsageError("B-type configuration needs rank >= 3")
-        barred = tuple("cb%d" % i for i in range(n, 0, -1))
-        unbarred = tuple("c%d" % i for i in range(1, n + 1))
-        names = barred + unbarred + ("c0b",)
-        colors = ColorSystem(names, len(names) - 1)
-        energy = _chain_energy(
-            colors, zero_pairs=((colors.index("cb1"), colors.index("c1")),)
-        )
-        shifts = [0] * colors.n
-        for label in barred:
-            shifts[colors.index(label)] = -1
-        transform = SizeTransform(1, tuple(shifts))
-        factors = tuple(
-            ProductFactor(1, _unit(colors, label), 1, 1) for label in unbarred
-        )
-        factors += tuple(
-            ProductFactor(1, _unit(colors, label), 0, 1) for label in barred
-        )
-        pair = _unit(colors, "c1", "cb1")
-        factors += (ProductFactor(1, pair, 1, 2, reciprocal=True),)
-    else:
+    if family not in _FAMILIES:
         raise UsageError("unknown character family %r" % (family,))
-    return CrystalConfig(
-        family=family,
-        rank=rank,
-        colors=colors,
-        energy=energy,
-        energy_prime=_transformed_energy(energy, transform),
-        transform=transform,
-        rhs_factors=factors,
-    )
-
-
-def _unit(colors, *labels):
-    """Exponent vector over the non-ground variables with ones at the labels."""
-    var = {c: i for i, c in enumerate(colors.non_ground)}
-    exps = [0] * len(var)
-    for label in labels:
-        exps[var[colors.index(label)]] += 1
-    return tuple(exps)
+    row = _FAMILIES[family](tuple("c%d" % i for i in range(1, rank + 1)),
+                            tuple("cb%d" % i for i in range(rank, 0, -1)))
+    if rank < row.least:
+        # a family's name starts with its type letter
+        raise UsageError("%s-type configuration needs rank >= %d" % (family[0], row.least))
+    colors = ColorSystem(row.chain, len(row.chain) - 1)
+    energy = _chain_energy(colors, {colors.index(label) for label in row.repeats},
+                           [colors.index(label) for label in row.alternating])
+    transform = SizeTransform(row.scale, tuple(row.shifts.get(label, 0) for label in row.chain))
+    sc, sh = transform.scale, transform.shifts
+    energy_prime = EnergyMatrix([
+        [sc * e + sh[x] - sh[y] for y, e in enumerate(es)] for x, es in enumerate(energy.values)
+    ])
+    var = {colors.names[c]: i for i, c in enumerate(colors.non_ground)}
+    factors = []
+    for monomials, offset, modulus, reciprocal in row.ladders:
+        for monomial in monomials:
+            exps = [0] * len(var)
+            for label in monomial.split():
+                exps[var[label]] += 1
+            factors.append(ProductFactor(1, tuple(exps), offset, modulus, reciprocal))
+    return CrystalConfig(family, rank, colors, energy, energy_prime, transform, tuple(factors))
 
 
 def character_lhs(config, order, route="direct"):
@@ -242,41 +189,29 @@ def verify_character(family, rank, order):
 # named identities
 
 
-def keith_xiong_setup(m):
-    """Residue colors 0..m-1, ground 0; parts k_{c_i} transform to m*k + i."""
+def _residue_setup(m, repeats=()):
+    """The residue chain r0..r(m-1), ground r0; parts k_{r_i} transform to m*k + i."""
     if m < 2:
         raise UsageError("modulus must be >= 2")
-    names = tuple("r%d" % i for i in range(m))
-    colors = ColorSystem(names, 0)
-    rows = tuple(
-        tuple(1 if i < j else 0 for j in range(m)) for i in range(m)
-    )
-    return colors, EnergyMatrix(rows), SizeTransform(m, tuple(range(m)))
+    colors = ColorSystem(tuple("r%d" % i for i in range(m)), 0)
+    return colors, _chain_energy(colors, repeats), SizeTransform(m, tuple(range(m)))
+
+
+def keith_xiong_setup(m):
+    """Residue colors r0..r(m-1), ground r0, every residue repeatable; parts
+    k_{r_i} transform to m*k + i."""
+    return _residue_setup(m, repeats=range(m))
 
 
 def glaisher_analogue_setup(m):
     """Same residue colors, with every nonzero residue non-repeatable."""
-    if m < 2:
-        raise UsageError("modulus must be >= 2")
-    names = tuple("r%d" % i for i in range(m))
-    colors = ColorSystem(names, 0)
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            if i == j:
-                row.append(0 if i == 0 else 1)
-            else:
-                row.append(1 if i < j else 0)
-        rows.append(tuple(row))
-    return colors, EnergyMatrix(tuple(rows)), SizeTransform(m, tuple(range(m)))
+    return _residue_setup(m)
 
 
 def siladic_setup():
     """The three-color chain with ground c and the quartic substitution."""
     colors = ColorSystem(("a", "b", "c"), 2)
-    energy = EnergyMatrix(((1, 1, 1), (0, 1, 1), (0, 0, 0)))
-    return colors, energy, SizeTransform(4, (-3, -1, 0))
+    return colors, _chain_energy(colors), SizeTransform(4, (-3, -1, 0))
 
 
 def _walk_gf(tag, setup, order):

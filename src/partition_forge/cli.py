@@ -53,18 +53,21 @@ def _partition_json(pi, colors, energy):
 # on a 2-core host).  Each ladder step of a product touches every row, so a
 # series costs at least the square of its order.  verify caches every
 # classical partition of each n, about 2.3x more memory per +5 of order
-# (order 50: 4 s, 392 MB).  Its residue identities build an m x m energy
-# (keith_xiong m = 1000, order 2: 4.6 s), and their walks grow with m too
-# (keith_xiong m = 10, order 50: 45 s).  A character walk grows with both
-# rank and order (A2n2 rank 2, order 40: 34 s; rank 200, order 2: 29 s).
-# An Fk walk builds all n^k color words first (3^10 words: 0.7 s, 3^12:
-# 5.6 s).
+# (order 50: 3-7 s, 392-401 MB).  Its residue identities build an m x m
+# energy (keith_xiong m = 1000, order 2: 4.6 s), and their walks grow with
+# m too (keith_xiong m = 10, order 50: 45 s).  A character walk grows with
+# both rank and order (A2n2 rank 2, order 40: 34 s; rank 200, order 2:
+# 29 s).  An Fk walk builds all n^k color words first (3^10 words: 0.7 s,
+# 3^12: 5.6 s).  flatten --invert pads its last group with zero ground
+# parts up to the degree, so time and memory grow linearly in it (degree
+# 10^6: 0.7 s, 54 MB; 3 x 10^6: 2.0 s, 130 MB).
 MAX_SERIES_ORDER = 1000
 MAX_VERIFY_ORDER = 50
 MAX_VERIFY_MODULUS = 100
 MAX_CHARACTER_ORDER = 30
 MAX_CHARACTER_RANK = 50
 MAX_FLAT_WORDS = 10**5
+MAX_FLATTEN_DEGREE = 10**6
 
 
 def _at_most(flag, value, limit):
@@ -136,6 +139,7 @@ def _map_command(args, fn):
 
 
 def _cmd_flatten(args):
+    _at_most("--degree", args.degree, MAX_FLATTEN_DEGREE)
     fn = degk.unflatten_k if args.invert else degk.flatten_k
     return _map_command(args, lambda pi, energy, colors: fn(pi, energy, colors, args.degree))
 

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import pytest
@@ -79,6 +80,58 @@ def test_rank_bounds():
         build_config("Bn1-Ln", 2)
     with pytest.raises(UsageError):
         build_config("Xn", 2)
+
+
+def _digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _setup_rows(setup):
+    colors, energy, transform = setup
+    return colors.names, colors.ground, energy.values, transform.scale, transform.shifts
+
+
+# sha256 of each configuration's colors, ground, energy, energy_prime,
+# transform and product ladders at ranks from its least up to 8, as built
+# while every family had its own branch of build_config
+CONFIG_DIGESTS = (
+    ("A2n2", 2, "bf3998907f0032760e6ef69a02748f63e699e9d7c657c846ae50b3f5d391352c"),
+    ("Dn12-L0", 2, "b9dec798c99c8049937cb4a21404a2729d119b96b8cb5e0a6b0511d2fa85e4be"),
+    ("Dn12-Ln", 2, "5d29c3657e797530ec722aee501fcb28a33186bee8853ac2815d84a279d55516"),
+    ("Bn1-Ln", 3, "3aa32b33cac7648265434ec452c790e8f8ad2158665008207a7b2b144172d388"),
+)
+
+
+@pytest.mark.parametrize("family,least,digest", CONFIG_DIGESTS)
+def test_config_layer_is_pinned(family, least, digest):
+    rows = []
+    for rank in range(least, 9):
+        c = build_config(family, rank)
+        rows.append((c.colors.names, c.colors.ground, c.energy.values, c.energy_prime.values,
+                     c.transform.scale, c.transform.shifts, tuple(map(tuple, c.rhs_factors))))
+    assert _digest(rows) == digest
+    for rank in (least - 1, 0):
+        with pytest.raises(UsageError) as exc:
+            build_config(family, rank)
+        assert str(exc.value) == "%s-type configuration needs rank >= %d" % (family[0], least)
+
+
+def test_identity_setups_are_pinned():
+    # the same rows at m = 2..11, as built while each setup spelled out its
+    # own energy table
+    assert _digest([_setup_rows(keith_xiong_setup(m)) for m in range(2, 12)]) == \
+        "92777ce5c5c95f496f00189e587bcb4cb4151e6e1da6c22a7985acb4e248778b"
+    assert _digest([_setup_rows(glaisher_analogue_setup(m)) for m in range(2, 12)]) == \
+        "445d5d6f8bca2b41101ef085fcf8a140f8d22c55bb3ad33b5a6ad5ebdfbcce1d"
+    assert _setup_rows(siladic_setup()) == (
+        ("a", "b", "c"), 2, ((1, 1, 1), (0, 1, 1), (0, 0, 0)), 4, (-3, -1, 0))
+    for setup in (keith_xiong_setup, glaisher_analogue_setup):
+        with pytest.raises(UsageError) as exc:
+            setup(1)
+        assert str(exc.value) == "modulus must be >= 2"
+    with pytest.raises(UsageError) as exc:
+        build_config("Xn", 3)
+    assert str(exc.value) == "unknown character family 'Xn'"
 
 
 def test_lhs_constant_term():

@@ -379,6 +379,9 @@ EXIT_CODES = (
      "degree-k partitions need degree >= 1, got -1"),
     ("flatten --energy {strict} --degree -1 --invert --in '1a 0c'", 2,
      "degree-k partitions need degree >= 1, got -1"),
+    # the inverse pads its last group with zero parts up to the degree
+    ("flatten --energy {strict} --degree 1000001 --invert --in 0c", 2,
+     "--degree must be at most 1000000, got 1000001"),
     ("verify-deg2 --energy {strict} --word a --max-size 1", 0, None),
     ("verify-deg2 --energy {strict} --word a --max-size -1", 2, "max_size must be non-negative"),
     ("verify-deg2 --energy {non_minimal} --word ba --max-size 4", 1,
