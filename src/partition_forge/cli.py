@@ -60,7 +60,10 @@ def _partition_json(pi, colors, energy):
 # 29 s).  An Fk walk builds all n^k color words first (3^10 words: 0.7 s,
 # 3^12: 5.6 s).  flatten --invert pads its last group with zero ground
 # parts up to the degree, so time and memory grow linearly in it (degree
-# 10^6: 0.7 s, 54 MB; 3 x 10^6: 2.0 s, 130 MB).
+# 10^6: 0.7 s, 54 MB; 3 x 10^6: 2.0 s, 130 MB).  count and verify-deg2
+# walk every member up to the size, which grows with the word's length
+# (count --word abab at size 100: 3.5-4.5 s; verify-deg2 --word abab at
+# max size 80: 4.3-5.1 s); a longer word can still take minutes inside them.
 MAX_SERIES_ORDER = 1000
 MAX_VERIFY_ORDER = 50
 MAX_VERIFY_MODULUS = 100
@@ -68,6 +71,8 @@ MAX_CHARACTER_ORDER = 30
 MAX_CHARACTER_RANK = 50
 MAX_FLAT_WORDS = 10**5
 MAX_FLATTEN_DEGREE = 10**6
+MAX_COUNT_SIZE = 100
+MAX_VERIFY_DEG2_SIZE = 80
 
 
 def _at_most(flag, value, limit):
@@ -119,6 +124,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_count(args):
+    _at_most("|--size|", abs(args.size), MAX_COUNT_SIZE)  # O- and E- sizes are negative
     colors, energy = load_energy(args.energy)
     _check_words(args, colors)
     word = _parse_word(args.word, colors)
@@ -145,6 +151,7 @@ def _cmd_flatten(args):
 
 
 def _cmd_verify_deg2(args):
+    _at_most("--max-size", args.max_size, MAX_VERIFY_DEG2_SIZE)
     colors, energy = load_energy(args.energy)
     word = _parse_word(args.word, colors)
     rows = deg2.flatreg2_table(energy, colors, word, args.max_size)

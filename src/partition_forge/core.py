@@ -204,10 +204,7 @@ def parse_energy(text):
         table = tuple(tuple(int(v) for v in row.split()) for row in rows)
     except ValueError as exc:
         raise EnergyStructureError("non-integer energy entry: %s" % exc) from None
-    energy = EnergyMatrix(table)
-    if energy.n != colors.n:
-        raise EnergyStructureError("energy rows do not match color count")
-    return colors, energy
+    return colors, EnergyMatrix(table)
 
 
 def format_energy(colors, energy):

@@ -13,7 +13,7 @@ with zero ground parts.  Both check their input and their output.
 
 from __future__ import annotations
 
-from .core import DegreeK, InvalidPartitionError, Primary, UsageError, part_color_seq
+from .core import DegreeK, Primary, UsageError, part_color_seq
 from .families import F1, read_degree_one, require_degree, validate_flat
 
 
@@ -54,16 +54,12 @@ def unflatten_k(pi, energy, colors, k, make=DegreeK):
         raise UsageError("grouping requires eps(ground, ground) = 0")
     require_degree(k)
     sizes, cols = read_degree_one(F1, pi, energy, colors)
-    # zero ground parts pad the last group and make up the terminal one
+    # zero ground parts pad the last group and make up the terminal one; every
+    # step is exact (read_degree_one, eps(ground, ground) = 0), so a group is a part
     fill = -(len(pi) - 1) % k + k
     sizes[-1:], cols[-1:] = [0] * fill, [colors.ground] * fill
-    ev = energy.values
     out = []
     for i in range(0, len(sizes), k):
-        if any(sizes[j] - sizes[j + 1] != ev[cols[j]][cols[j + 1]] for j in range(i, i + k - 1)):
-            group = list(map(Primary, sizes[i : i + k], cols[i : i + k]))
-            raise InvalidPartitionError(
-                "primary parts %r do not chain into one degree-%d part" % (group, k))
         base, word = sizes[i + k - 1], tuple(cols[i : i + k])
         out.append(make(base, word) if make is DegreeK else make(base, *word))
     result = tuple(out)

@@ -31,7 +31,7 @@ two rules:
   eps(r, d) + 1 back, and eps'_2 = eps_2 + 2 delta between secondary parts.
   R1 and R2 end a path with the drop to their terminal part, O+ and E+ on
   any part at or above the half line len(w)*rho + inner(w), rho = 1 -
-  delta_g.  One cached tail table prunes all four: per count of letters
+  delta_g.  One cached table per walk prunes all four: per count of letters
   still to spell (with no word, of parts still allowed) each word has a
   front of points (need, least, below), one per tail worth taking: a part
   of size need or more can start a tail of charge least, and the point
@@ -248,10 +248,12 @@ def flat_walk(energy, colors, budget, degree=1, make=Primary, transform=None):
 # regular rule (R1, O+, O-, E+, E- and R2)
 
 
-@lru_cache(maxsize=64)
-def _word_table(tag, energy, colors):
-    """A regular family's row ``(index, len(w), inner(w), part type, w, letters)``
-    per word w in walk order, and its drops (R1's and R2's to the terminal last)."""
+@lru_cache(maxsize=256)
+def _tail_table(tag, energy, colors, transform, word, max_parts):
+    """A regular walk's one cached table, its drops and levels:
+    ``levels[left]`` lists, with ``left`` letters or parts left, the next
+    part's ``(index, len(w), inner(w), part type, w, charge shift, letters
+    or parts used, least size that ends a path, front)`` (module docstring)."""
     g, ng, ev = colors.ground, colors.non_ground, energy.values
     mixed = tag in (E_PLUS, E_MINUS)
     if tag == R2:
@@ -270,19 +272,12 @@ def _word_table(tag, energy, colors):
         delta = delta_exception(energy, colors, *p, *q) if g in p + q else 0
         return ev[p[0]][p[1]] + 2 * step + ev[q[0]][q[1]] + 2 * delta
 
+    # per word w in walk order: (index, len(w), inner(w), part type, w, letters);
+    # the drops to R1's and R2's terminal come last
     rows = tuple((i, len(w), ev[w[0]][w[-1]] * (len(w) - 1), Primary if len(w) == 1 else Secondary,
                   w, tuple(filter(g.__ne__, w))) for i, w in enumerate(words))
     targets = words + {R1: [(g,)], R2: [(g, g)]}.get(tag, [])
-    return rows, tuple(tuple(drop(p, q) for q in targets) for p in words)
-
-
-@lru_cache(maxsize=256)
-def _tail_table(tag, energy, colors, transform, word, max_parts):
-    """A regular walk's drops and levels: ``levels[left]`` lists, with
-    ``left`` letters or parts left, the next part's ``(index, len(w),
-    inner(w), part type, w, charge shift, letters or parts used, least size
-    that ends a path, front)`` (module docstring)."""
-    rows, drops = _word_table(tag, energy, colors)
+    drops = tuple(tuple(drop(p, q) for q in targets) for p in words)
     rho = 1 - ground_delta(energy, colors)
     sc, sh = (transform.scale, transform.shifts) if transform else (1, (0,) * colors.n)
     wlen = len(word) if word is not None else 0

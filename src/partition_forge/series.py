@@ -18,7 +18,8 @@ shift-and-add, a geometric ``1 / (1 - m q^a)`` a running recurrence
 (``sign`` is ignored on reciprocal factors).  The result keeps those rows:
 its ``coeffs`` is a ``PackedRows``, a read-only ``Mapping`` from
 ``(d, exps)`` to the coefficient that counts and sums the rows as they are,
-packs a key to look it up, and unpacks every key only when it is iterated.
+packs a key to look it up, and unpacks every key, into one ``_unpacked()``
+dict, only when it is iterated or compared.
 Every other series keeps a plain dict, and ``TruncatedSeries`` reads either
 through the ``Mapping`` interface.
 
@@ -36,10 +37,10 @@ stops at the order.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from functools import partial
 from itertools import chain
-from operator import add, itemgetter
+from operator import add
 from struct import Struct
 from typing import NamedTuple
 
@@ -278,9 +279,10 @@ class PackedRows(Mapping):
     ``rows[d]`` maps each packed exponent key to its nonzero coefficient of
     q^d, in ``_digits``'s layout of ``width``-bit digits.  Lookup packs its
     key: a vector of the wrong length, or an exponent outside the signed
-    digit, is a miss and never another key.  ``items()`` and iteration
-    unpack every key, by one comprehension per call.  The view keeps only
-    the width, not the ``struct`` unpacker, so it pickles and copies.
+    digit, is a miss and never another key.  ``items()``, iteration and
+    ``==`` read every key back through one ``_unpacked()`` dict per call.
+    The view keeps only the width, not the ``struct`` unpacker, so it
+    pickles and copies.
     """
 
     __slots__ = ("rows", "nvars", "width")
@@ -308,26 +310,20 @@ class PackedRows(Mapping):
             pass
         raise KeyError(key)
 
+    def _unpacked(self):
+        # every key read back to (d, exps) in C
+        _, bias, size, unpack = _digits(self.width, self.nvars)
+        return {(d, unpack(((k + bias) ^ bias).to_bytes(size, "little"))): v
+                for d, row in enumerate(self.rows) for k, v in row.items()}
+
     def items(self):
-        return _UnpackedItems(self)
+        return self._unpacked().items()
 
     def __iter__(self):
-        return map(itemgetter(0), self.items())
+        return iter(self._unpacked())
 
     def __eq__(self, other):
-        return dict(self.items()) == other
-
-
-class _UnpackedItems(ItemsView):
-    """``PackedRows.items()``, each key read back to ``(d, exps)`` in C."""
-
-    __slots__ = ()
-
-    def __iter__(self):
-        view = self._mapping
-        _, bias, size, unpack = _digits(view.width, view.nvars)
-        return iter([((d, unpack(((k + bias) ^ bias).to_bytes(size, "little"))), v)
-                     for d, row in enumerate(view.rows) for k, v in row.items()])
+        return self._unpacked() == other
 
 
 def _shift_add(rows, src, dst, m, s):

@@ -325,6 +325,12 @@ def test_character_identity_rank_three(family):
     assert report["pass"], family
 
 
+def test_character_lhs_names_its_routes():
+    with pytest.raises(UsageError) as info:
+        character_lhs(build_config("A2n2", 2), 1, route="x")
+    assert str(info.value) == "route must be 'direct' or 'transform'"
+
+
 def test_character_lhs_raises_on_a_zero_charge_cycle():
     # delta_g = 1 and eps(a, a) = 0: zero-size a parts repeat without end,
     # so every coefficient is infinite; both routes must say so rather than

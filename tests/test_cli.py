@@ -221,6 +221,34 @@ def test_verify_mismatch_exits_1(capsys, monkeypatch):
     assert code == 1 and "FAIL" in out
 
 
+def test_character_mismatch_lines(capsys, monkeypatch):
+    cli._shared_parser()  # the parser is built before the patch and still sees it
+    bad = {"q": 1, "exps": [1, 0], "lhs": 2, "rhs": 1}
+
+    def fake(family, rank, order):
+        return {"paths_agree": False, "lhs_equals_rhs": False, "pass": False,
+                "mismatches": [bad]}
+
+    monkeypatch.setattr(cli.characters, "verify_character", fake)
+    assert run(capsys, "character", "--family", "A2n2", "--rank", "2", "--order", "2") == (
+        1, "A2n2 rank 2 to order 2: paths DISAGREE, product MISMATCH\n"
+           "  q^1 [1, 0]: %r\n" % (bad,), "")
+
+
+def test_series_factors_from_a_file(capsys, tmp_path):
+    spec = tmp_path / "factors.json"
+    spec.write_text(MIXED_FACTORS)
+    for form in ((), ("--json",)):
+        inline = run(capsys, "series", "--colors", "a,b", "--factors", MIXED_FACTORS,
+                     "--order", "6", *form)
+        assert inline[0] == 0
+        assert run(capsys, "series", "--colors", "a,b", "--factors", "@%s" % spec,
+                   "--order", "6", *form) == inline
+    code, out, err = run(capsys, "series", "--factors", "@%s" % (tmp_path / "missing"),
+                         "--order", "3")
+    assert (code, out) == (2, "") and err.startswith("error: [Errno 2] No such file")
+
+
 @pytest.mark.parametrize("error", [MemoryError, RecursionError])
 def test_resource_errors_exit_2(capsys, energies, monkeypatch, error):
     _, strict = energies
@@ -345,6 +373,13 @@ EXIT_CODES = (
     ("count --family F2 --energy {strict} --word ab --size 5", 0, "2\n"),
     # O- sizes reach below zero: 0a -2b and 1a -3b
     ("count --family O- --energy {strict} --word ab --size -2", 0, "2\n"),
+    # |--size| is checked before the energy is read: O- and E- sizes are negative
+    ("count --family F1 --energy {strict} --word ab --size 100", 0, "49\n"),
+    ("count --family O- --energy {strict} --word ab --size -100", 0, "51\n"),
+    ("count --family F1 --energy {strict} --word ab --size 101", 2,
+     "|--size| must be at most 100, got 101"),
+    ("count --family O- --energy /no/such/file --word ab --size -101", 2,
+     "|--size| must be at most 100, got 101"),
     ("count --family Fk --energy {strict} --word a --size 1", 2,
      "degree-k partitions need degree >= 1, got None"),
     # an Fk walk builds all n^k color words: 3^10 = 59,049 are allowed
@@ -384,6 +419,9 @@ EXIT_CODES = (
      "--degree must be at most 1000000, got 1000001"),
     ("verify-deg2 --energy {strict} --word a --max-size 1", 0, None),
     ("verify-deg2 --energy {strict} --word a --max-size -1", 2, "max_size must be non-negative"),
+    ("verify-deg2 --energy {strict} --word a --max-size 80", 0, None),
+    ("verify-deg2 --energy /no/such/file --word a --max-size 81", 2,
+     "--max-size must be at most 80, got 81"),
     ("verify-deg2 --energy {non_minimal} --word ba --max-size 4", 1,
      "4         2     2     1     1     1     2   NO\n"),
     ("character --family A2n2 --rank 2 --order 2", 0,

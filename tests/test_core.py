@@ -15,6 +15,7 @@ from partition_forge.core import (
     EnergyStructureError,
     Primary,
     Secondary,
+    SizeTransform,
     UsageError,
     epsilon2,
     epsilon2_prime,
@@ -349,6 +350,44 @@ def test_energy_words_reject_bad_color_indices(fn, args, message):
     with pytest.raises(UsageError) as info:
         fn(energy, *args)
     assert str(info.value) == message
+
+
+# (call on the strict energy, error type, exact message): each check of the
+# color system, the energy table and the part text, once
+CORE_MESSAGES = (
+    (lambda c, e: ColorSystem(("a", "a", "g"), 2), EnergyStructureError,
+     "color labels must be distinct"),
+    (lambda c, e: ColorSystem(("a", "g"), 2), EnergyStructureError, "ground index out of range"),
+    (lambda c, e: ColorSystem(("1a", "g"), 1), EnergyStructureError,
+     "color labels may not start with a digit or sign: '1a'"),
+    (lambda c, e: c.index("z"), UsageError, "unknown color label 'z'"),
+    (lambda c, e: EnergyMatrix(((0, 1), (0,))), EnergyStructureError,
+     "energy table must be square"),
+    (lambda c, e: parse_energy("a\n"), EnergyStructureError,
+     "energy text needs labels, ground, and rows"),
+    (lambda c, e: part_color_seq((1, 2)), UsageError, "not a part: (1, 2)"),
+    (lambda c, e: SizeTransform(0, (0, 0, 0)), UsageError, "transformation scale must be positive"),
+    (lambda c, e: parse_partition("4abc", c, e), UsageError, "size 4 does not fit a degree-3 part"),
+    (lambda c, e: parse_partition("   ", c, e), UsageError, "empty partition text"),
+)
+
+
+@pytest.mark.parametrize("call,error,message", CORE_MESSAGES)
+def test_core_messages(call, error, message):
+    colors, energy = strict_energy()
+    with pytest.raises(error) as info:
+        call(colors, energy)
+    assert str(info.value) == message
+
+
+def test_validate_energy_violation_texts():
+    def _violations(rows):
+        return validate_energy(EnergyMatrix(rows), ColorSystem(("a", "b", "g"), 2))["violations"]
+
+    assert _violations(((0, 0, 1), (0, 0, 1), (0, 0, 1))) == ["eps(ground, ground) = 1 != 0"]
+    # eps(ground, a) = 0 sets delta_g, and b has its own consistent pair
+    assert _violations(((0, 0, 1), (0, 0, 0), (0, 1, 0))) == [
+        "eps(ground, b) = 1 disagrees with delta_g = 0"]
 
 
 def _brute_splits(label, names, exclude):

@@ -72,6 +72,10 @@ def test_rmap_parity_examples():
     assert rmap((Primary(2, a),), energy, colors)[0] == Secondary(1, g, a)
     part = Secondary(1, a, colors.index("b"))
     assert embed_part(part, energy, colors) == part
+    with pytest.raises(InvalidPartitionError) as info:
+        embed_part(Secondary(1, a, g), energy, colors)
+    assert str(info.value) == (
+        "secondary part Secondary(half=1, left=0, right=2) already carries the ground")
 
 
 def test_rmap_roundtrips():

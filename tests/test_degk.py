@@ -13,6 +13,7 @@ from partition_forge.core import (
     epsilon2,
     epsilon_k,
     flat_rel,
+    parse_energy,
     parse_partition,
     part_size,
     partition_size,
@@ -213,6 +214,16 @@ def test_part_types_are_checked_by_validate_member_alone():
     for check, message in rows:
         with pytest.raises(InvalidPartitionError) as info:
             check()
+        assert str(info.value) == message
+
+
+def test_maps_need_a_zero_ground_energy():
+    colors, energy = parse_energy("a g\ng\n0 1\n0 1\n")  # eps(ground, ground) = 1
+    pi = parse_partition("0g", colors, energy)
+    for fn, message in ((flatten_k, "splitting requires eps(ground, ground) = 0"),
+                        (unflatten_k, "grouping requires eps(ground, ground) = 0")):
+        with pytest.raises(UsageError) as info:
+            fn(pi, energy, colors, 2)
         assert str(info.value) == message
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from partition_forge.core import (
     DegreeK,
+    EnergyMatrix,
     InvalidPartitionError,
     Primary,
     Secondary,
@@ -26,6 +27,7 @@ from partition_forge.families import (
     flat_walk,
     members,
     size_counts,
+    validate_flat,
     validate_member,
     walk_members,
 )
@@ -232,6 +234,21 @@ def test_zero_size_parts_need_length_cap():
     assert len(found) == 7  # zero through six zero-size parts of the one color
     # the walk keeps its stack on the heap, so a deep budget cannot overflow
     assert len(members("F1", energy, colors, Budget(0, 1500))) == 1501
+
+
+def test_walks_refuse_unsupported_requests():
+    colors, energy = strict_energy()
+    sinking = EnergyMatrix(((0, -1, 1), (0, 0, 1), (0, 0, 0)))
+    with pytest.raises(UsageError) as info:
+        members("O-", sinking, colors, Budget(3, 3))
+    assert str(info.value) == "half-line-down enumeration needs a non-negative energy"
+    with pytest.raises(UsageError) as info:
+        members("Fk", energy, colors, Budget(3, 3), degree=2,
+                transform=SizeTransform.identity(colors.n))
+    assert str(info.value) == "transforms are not supported for degree-k enumeration"
+    with pytest.raises(InvalidPartitionError) as info:
+        validate_flat((1, 2), energy, colors, 2)
+    assert str(info.value) == "parts must have degree 2"
 
 
 def test_budget_validation():

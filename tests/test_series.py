@@ -450,6 +450,19 @@ def test_text_and_json_forms():
     assert s.text(["a", "b"]) == "1 + 2*q^1*b^2 + -3*q^2*a^1"
     dump = s.to_json(["a", "b"])
     assert dump["terms"][1] == {"coeff": 2, "q": 1, "exps": [0, 2]}
+    assert repr(TruncatedSeries(2, 1, {(1, (1,)): 2})) == "TruncatedSeries(order=2, 2*q^1*c1^1)"
+
+
+@pytest.mark.parametrize("build,message", (
+    (lambda: TruncatedSeries(-1, 0), "truncation order must be non-negative"),
+    (lambda: TruncatedSeries(2, 1, {(0, (1, 1)): 1}), "exponent vector has wrong dimension"),
+    (lambda: TruncatedSeries(2, 1, {(-1, (0,)): 1}), "negative q-degree"),
+    (lambda: TruncatedSeries.one(2, 1) + 3, "expected a TruncatedSeries"),
+))
+def test_series_messages(build, message):
+    with pytest.raises(UsageError) as info:
+        build()
+    assert str(info.value) == message
 
 
 small_series = st.builds(
