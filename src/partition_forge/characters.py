@@ -11,9 +11,11 @@ The character is verified as an exact truncated-series identity, with the
 flat side enumerated both directly under the transformed energy and as the
 transform of the untransformed enumeration.
 
-Each named identity is one table of ``TruncatedSeries`` columns.  Row n
-shows each column's coefficient of q^n and matches when those counts agree
-and every column in color variables has the same degree-n slice.
+Each named identity is one row of ``_IDENTITIES``, which
+``verify_named_identity`` reads the same way: whether it takes a modulus m,
+and its ``TruncatedSeries`` columns.  Row n shows each column's coefficient
+of q^n and matches when those counts agree and every column in color
+variables has the same degree-n slice.
 """
 
 from __future__ import annotations
@@ -26,15 +28,6 @@ from . import classic
 from .core import ColorSystem, EnergyMatrix, SizeTransform, UsageError
 from .families import Budget, flat_walk, walk_members
 from .series import ProductFactor, TruncatedSeries, gf_from_partitions, pochhammer_expand
-
-IDENTITIES = (
-    "euler",
-    "glaisher",
-    "keith_xiong",
-    "glaisher_analogue",
-    "siladic_companion",
-)
-
 
 @dataclass(frozen=True)
 class CrystalConfig:
@@ -175,9 +168,9 @@ def verify_character(family, rank, order):
     }
     if not report["pass"]:
         diffs = []
-        keys = set(direct.coeffs) | set(rhs.coeffs) | set(via_transform.coeffs)
-        for key in sorted(keys):
-            vals = (direct.coeffs.get(key, 0), via_transform.coeffs.get(key, 0), rhs.coeffs.get(key, 0))
+        sides = [dict(s.coeffs.items()) for s in (direct, via_transform, rhs)]  # unpacked once
+        for key in sorted(set().union(*sides)):
+            vals = [side.get(key, 0) for side in sides]
             if len(set(vals)) > 1:
                 diffs.append({"q": key[0], "exps": list(key[1]),
                               "direct": vals[0], "transform": vals[1], "product": vals[2]})
@@ -226,9 +219,14 @@ def verify_named_identity(name, order, m=None):
     """Exact per-coefficient verification of one named identity; ``keith_xiong``
     rows also count the residue vectors of its ``flat`` column."""
     _need_order(order)
-    if m is not None and name in ("euler", "siladic_companion"):
+    if name not in _IDENTITIES:
+        raise UsageError("unknown identity %r" % (name,))
+    takes_m, columns_at = _IDENTITIES[name]
+    if not takes_m and m is not None:
         raise UsageError("identity %s takes no modulus m" % name)
-    columns = _identity_columns(name, order, m)
+    if takes_m and (m is None or m < 2):
+        raise UsageError("this identity needs a modulus m >= 2")
+    columns = columns_at(order, m)
     slices = {label: _by_degree(series) for label, series in columns.items()}
     colored = [slices[label] for label, series in columns.items() if series.nvars]
     rows = []
@@ -246,68 +244,27 @@ def verify_named_identity(name, order, m=None):
     }
 
 
-def _identity_columns(name, order, m):
-    """``{label: series}`` per identity, the labels being the row keys in
-    order: walked sides, product sides, and classical counts as q-only series
-    (``keith_xiong``'s in its m - 1 residue variables)."""
-    if name == "euler":
-        return {
-            "distinct": _classical(order, classic.is_distinct),
-            "odd": _classical(order, classic.is_all_odd),
-            "product": pochhammer_expand((ProductFactor(1, (), 1, 1),), order, 0),
-            "quotient_product": _glaisher_product(2, order),
-        }
+def _walked(setup, order, **tags):
+    """``{label: series}`` of the families ``tags`` names, walked on one setup."""
+    return {label: _walk_gf(tag, setup, order) for label, tag in tags.items()}
 
-    if name == "glaisher":
-        m = _need_m(m)
-        return {
-            "regular": _classical(order, lambda lam: classic.is_m_regular(lam, m)),
-            "occurrences": _classical(order, lambda lam: classic.occurrences_below(lam, m)),
-            "flat": _classical(order, lambda lam: classic.is_m_flat(lam, m)),
-            "product": _glaisher_product(m, order),
-        }
 
-    if name == "keith_xiong":
-        m = _need_m(m)
-        setup = keith_xiong_setup(m)
-        flat, regular = Counter(), Counter()
-        for n in range(order + 1):
-            for lam in classic.partitions_of(n):
-                key = (n, classic.residue_vector(lam, m))
-                if classic.is_m_flat(lam, m):
-                    flat[key] += 1
-                if classic.is_m_regular(lam, m):
-                    regular[key] += 1
-        return {
-            "flat": TruncatedSeries(order, m - 1, flat),
-            "regular": TruncatedSeries(order, m - 1, regular),
-            "flat_colored": _walk_gf("F1", setup, order),
-            "regular_colored": _walk_gf("R1", setup, order),
-        }
-
-    if name == "glaisher_analogue":
-        m = _need_m(m)
-        setup = glaisher_analogue_setup(m)
-        return {
-            "regular_distinct": _classical(
-                order, lambda lam: classic.is_m_regular_distinct(lam, m)),
-            "flat_second_kind": _classical(
-                order, lambda lam: classic.is_second_kind_flat(lam, m)),
-            "flat_colored": _walk_gf("F1", setup, order),
-            "regular_colored": _walk_gf("R1", setup, order),
-        }
-
-    if name == "siladic_companion":
-        setup = siladic_setup()
-        return {
-            "A": _walk_gf("R2", setup, order),
-            "B": _walk_gf("F2", setup, order),
-            "primary": _walk_gf("O+", setup, order),
-            "distinct_odd": _classical(order, classic.is_distinct_odd),
-            "product": pochhammer_expand((ProductFactor(1, (), 1, 2),), order, 0),
-        }
-
-    raise UsageError("unknown identity %r" % (name,))
+def _keith_xiong(order, m):
+    """Classical m-flat and m-regular counts by residue vector, from one pass
+    over the partitions, then the F1 and R1 walks."""
+    flat, regular = Counter(), Counter()
+    for n in range(order + 1):
+        for lam in classic.partitions_of(n):
+            key = (n, classic.residue_vector(lam, m))
+            if classic.is_m_flat(lam, m):
+                flat[key] += 1
+            if classic.is_m_regular(lam, m):
+                regular[key] += 1
+    return {
+        "flat": TruncatedSeries(order, m - 1, flat),
+        "regular": TruncatedSeries(order, m - 1, regular),
+        **_walked(keith_xiong_setup(m), order, flat_colored="F1", regular_colored="R1"),
+    }
 
 
 def _glaisher_product(m, order):
@@ -332,12 +289,39 @@ def _by_degree(series):
     return rows
 
 
-def _need_m(m):
-    if m is None or m < 2:
-        raise UsageError("this identity needs a modulus m >= 2")
-    return m
-
-
 def _need_order(order):
     if order < 0:
         raise UsageError("truncation order must be non-negative")
+
+
+# Each named identity's row: whether it takes a modulus m, and its columns
+# ``{label: series}`` at (order, m), the labels being the row keys in order:
+# walked sides, product sides, and classical counts as q-only series
+# (``keith_xiong``'s in its m - 1 residue variables).
+_IDENTITIES = {
+    "euler": (False, lambda order, m: {
+        "distinct": _classical(order, classic.is_distinct),
+        "odd": _classical(order, classic.is_all_odd),
+        "product": pochhammer_expand((ProductFactor(1, (), 1, 1),), order, 0),
+        "quotient_product": _glaisher_product(2, order),
+    }),
+    "glaisher": (True, lambda order, m: {
+        "regular": _classical(order, lambda lam: classic.is_m_regular(lam, m)),
+        "occurrences": _classical(order, lambda lam: classic.occurrences_below(lam, m)),
+        "flat": _classical(order, lambda lam: classic.is_m_flat(lam, m)),
+        "product": _glaisher_product(m, order),
+    }),
+    "keith_xiong": (True, _keith_xiong),
+    "glaisher_analogue": (True, lambda order, m: {
+        "regular_distinct": _classical(order, lambda lam: classic.is_m_regular_distinct(lam, m)),
+        "flat_second_kind": _classical(order, lambda lam: classic.is_second_kind_flat(lam, m)),
+        **_walked(glaisher_analogue_setup(m), order, flat_colored="F1", regular_colored="R1"),
+    }),
+    "siladic_companion": (False, lambda order, m: {
+        **_walked(siladic_setup(), order, A="R2", B="F2", primary="O+"),
+        "distinct_odd": _classical(order, classic.is_distinct_odd),
+        "product": pochhammer_expand((ProductFactor(1, (), 1, 2),), order, 0),
+    }),
+}
+
+IDENTITIES = tuple(_IDENTITIES)

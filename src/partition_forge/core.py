@@ -107,8 +107,10 @@ class EnergyMatrix:
         for row in rows:
             if len(row) != len(rows):
                 raise EnergyStructureError("energy table must be square")
-        # the maps look up ground_delta's cache on every call, so hash once
+        # the maps look up ground_delta's cache and check minimality on every
+        # call, so hash and check once
         object.__setattr__(self, "_hash", hash(rows))
+        object.__setattr__(self, "minimal", all(v in (0, 1) for row in rows for v in row))
 
     def __hash__(self):
         return self._hash
@@ -119,10 +121,6 @@ class EnergyMatrix:
 
     def e(self, c, d):
         return self.values[c][d]
-
-    @property
-    def minimal(self):
-        return all(v in (0, 1) for row in self.values for v in row)
 
 
 def validate_energy(energy, colors):

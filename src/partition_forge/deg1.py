@@ -8,6 +8,12 @@ of equal column heights, with one weighted column per descent position that
 received an insertion.  The inverse recovers the insertions by comparing
 the staircase ``delta_g + |mu_k| + k`` against ``nu'_u - u - 1``.
 
+The staircase assumes a minimal energy, every eps in {0, 1}: on any other
+energy the maps raise UsageError after the ground-compatibility check, since
+they would return partitions of the wrong size or word (``2b 1g 1b 0g`` went
+to ``4b 1b 0g`` when eps(b, b) = 2).  ``decompose`` and ``recompose`` hold
+for any energy.  ``EnergyMatrix`` checks minimality once, when it is built.
+
 Both maps validate their input first (they are only defined on the stated
 families) through ``families.read_degree_one``, the one F1/R1 validator,
 which ``validate_member`` calls too.  It returns the size and color lists
@@ -62,9 +68,15 @@ def recompose(dec, energy, colors):
     return out
 
 
+def _need_minimal(energy):
+    if not energy.minimal:
+        raise UsageError("the degree-one maps need a minimal energy, every eps in {0, 1}")
+
+
 def omega(pi, energy, colors):
     """Map a flat grounded partition to the regular one with the same word and size."""
     ground_delta(energy, colors)
+    _need_minimal(energy)
     sizes, cols = read_degree_one(F1, pi, energy, colors)
     g = colors.ground
     s = len(cols) - cols.count(g)  # the colored parts
@@ -121,6 +133,7 @@ def omega(pi, energy, colors):
 def omega_inv(pi, energy, colors):
     """Map a regular grounded partition back to its flat preimage."""
     dg = ground_delta(energy, colors)
+    _need_minimal(energy)
     sizes, cols = read_degree_one(R1, pi, energy, colors)
     g = colors.ground
     s = len(cols) - 1

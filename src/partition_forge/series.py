@@ -17,11 +17,10 @@ ladder step updates the rows in place: a binomial ``(1 + sign m q^a)`` is a
 shift-and-add, a geometric ``1 / (1 - m q^a)`` a running recurrence
 (``sign`` is ignored on reciprocal factors).  The result keeps those rows:
 its ``coeffs`` is a ``PackedRows``, a read-only ``Mapping`` from
-``(d, exps)`` to the coefficient that counts and sums the rows as they are,
-packs a key to look it up, and unpacks every key, into one ``_unpacked()``
-dict, only when it is iterated or compared.
-Every other series keeps a plain dict, and ``TruncatedSeries`` reads either
-through the ``Mapping`` interface.
+``(d, exps)`` to the coefficient that counts and sums the rows as they are
+and answers every other read, a lookup included, from one ``_unpacked()``
+dict of every key, built per call.  Every other series keeps a plain dict,
+and ``TruncatedSeries`` reads either through the ``Mapping`` interface.
 
 Both packers lay out their exponents as byte-wide signed digits of 8, 16,
 32 or 64 bits, sized so that no reachable exponent overflows, and one
@@ -98,7 +97,7 @@ class TruncatedSeries:
 
     def __add__(self, other):
         self._check(other)
-        coeffs = dict(self.coeffs)
+        coeffs = dict(self.coeffs.items())  # a lookup on packed rows unpacks them all
         for key, v in other.coeffs.items():
             w = coeffs.get(key, 0) + v
             if w:
@@ -277,12 +276,12 @@ class PackedRows(Mapping):
     """Read-only ``(d, exps) -> coeff`` view of rows by q-degree of packed keys.
 
     ``rows[d]`` maps each packed exponent key to its nonzero coefficient of
-    q^d, in ``_digits``'s layout of ``width``-bit digits.  Lookup packs its
-    key: a vector of the wrong length, or an exponent outside the signed
-    digit, is a miss and never another key.  ``items()``, iteration and
-    ``==`` read every key back through one ``_unpacked()`` dict per call.
-    The view keeps only the width, not the ``struct`` unpacker, so it
-    pickles and copies.
+    q^d, in ``_digits``'s layout of ``width``-bit digits.  ``len`` and
+    ``TruncatedSeries.q_coefficients`` read the rows as they are.  Every
+    other read, a lookup included, goes through one ``_unpacked()`` dict
+    per call, so a caller with many lookups takes ``dict(view.items())``
+    once.  The view keeps only the width, not the ``struct`` unpacker, so
+    it pickles and copies.
     """
 
     __slots__ = ("rows", "nvars", "width")
@@ -297,18 +296,7 @@ class PackedRows(Mapping):
         return sum(map(len, self.rows))
 
     def __getitem__(self, key):
-        width = self.width
-        half = 1 << width - 1
-        try:
-            d, exps = key
-            if (0 <= d < len(self.rows) and len(exps) == self.nvars
-                    and all(-half <= e < half for e in exps)):
-                v = self.rows[d].get(sum(e << width * i for i, e in enumerate(exps)))
-                if v is not None:
-                    return v
-        except (TypeError, ValueError):
-            pass
-        raise KeyError(key)
+        return self._unpacked()[key]
 
     def _unpacked(self):
         # every key read back to (d, exps) in C
@@ -318,6 +306,9 @@ class PackedRows(Mapping):
 
     def items(self):
         return self._unpacked().items()
+
+    def values(self):
+        return self._unpacked().values()
 
     def __iter__(self):
         return iter(self._unpacked())

@@ -5,7 +5,7 @@ import shlex
 
 import pytest
 
-from partition_forge import cli
+from partition_forge import characters, cli
 from partition_forge.cli import main
 from partition_forge.core import UsageError, parse_energy
 
@@ -397,6 +397,11 @@ EXIT_CODES = (
      "F1 relation fails between Primary(size=5, color=0) and Primary(size=1, color=1)"),
     ("omega-inv --energy {mixed} --in '2a 0c'", 0, "1c 1a 0c\n"),
     ("omega-inv --energy {mixed} --in '1c 1a 0c'", 2, "regular partitions avoid the ground color"),
+    # eps(b, a) = 2: the maps would change the size or the word
+    ("omega --energy {non_minimal} --in '1a 0g'", 2,
+     "the degree-one maps need a minimal energy, every eps in {0, 1}"),
+    ("omega-inv --energy {non_minimal} --in '1a 0g'", 2,
+     "the degree-one maps need a minimal energy, every eps in {0, 1}"),
     ("split2 --energy {strict} --in '3ab 0cc'", 0, "2a 1b 0c\n"),
     ("split2 --energy {strict} --in 0c", 2, "parts must have degree 2"),
     ("merge2 --energy {strict} --in '2a 1b 0c'", 0, "3ab 0cc\n"),
@@ -509,3 +514,24 @@ def test_product_side_stdout_is_unchanged(capsys, command, digest):
     code, out, err = run(capsys, *shlex.split(command))
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 over exit code, stdout and stderr of `verify` for every identity at
+# orders 0-20, with --m absent and 0-5, in text and --json (1,470 calls), as
+# printed while each identity had its own branch of the column builder
+VERIFY_CORPUS_DIGEST = "b7d08ece095d2fdeab1a8565899ddb60b2b7eb015cf3cfc1717dea3cb7aa1814"
+
+
+def test_verify_corpus_is_pinned(capsys):
+    digest = hashlib.sha256()
+    calls = 0
+    for name in characters.IDENTITIES:
+        for order in range(21):
+            for m in (None, 0, 1, 2, 3, 4, 5):
+                for fmt in ((), ("--json",)):
+                    argv = ["verify", "--identity", name, "--order", str(order), *fmt]
+                    argv += [] if m is None else ["--m", str(m)]
+                    digest.update(json.dumps([argv, *run(capsys, *argv)]).encode())
+                    calls += 1
+    assert calls == 1470
+    assert digest.hexdigest() == VERIFY_CORPUS_DIGEST

@@ -1,15 +1,19 @@
+from itertools import product
 from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from partition_forge.core import (
+    ColorSystem,
     DegreeK,
+    EnergyMatrix,
     InvalidPartitionError,
     Primary,
     Secondary,
     UsageError,
     color_word,
+    ground_delta,
     parse_partition,
     partition_size,
 )
@@ -92,6 +96,39 @@ def test_omega_rejects_non_members():
         omega(bad, energy, colors)
     with pytest.raises(InvalidPartitionError):
         omega_inv(parse_partition("1c 1a 0c", colors, energy), energy, colors)
+
+
+NOT_MINIMAL = "the degree-one maps need a minimal energy, every eps in {0, 1}"
+
+
+def test_maps_refuse_every_non_minimal_energy():
+    # every ground-compatible energy on colors a b g with entries 0-3 and
+    # one above 1: the staircase assumes eps in {0, 1}, and on eps(b, b) = 2
+    # omega took 2b 1g 1b 0g (size 4) to 4b 1b 0g (size 5)
+    colors = ColorSystem(("a", "b", "g"), 2)
+    trivial = (Primary(0, 2),)
+    refused = 0
+    for delta, block in product((0, 1), product(range(4), repeat=4)):
+        if max(block) < 2:
+            continue
+        energy = EnergyMatrix(((*block[:2], 1 - delta), (*block[2:], 1 - delta),
+                               (delta, delta, 0)))
+        assert ground_delta(energy, colors) == delta
+        for fn in (omega, omega_inv):
+            with pytest.raises(UsageError) as info:
+                fn(trivial, energy, colors)
+            assert str(info.value) == NOT_MINIMAL
+        refused += 1
+    assert refused == 480
+    # the ground-compatibility message comes first
+    broken = EnergyMatrix(((2, 0, 1), (0, 0, 1), (0, 1, 0)))
+    for fn in (omega, omega_inv):
+        with pytest.raises(UsageError, match="not ground-compatible"):
+            fn(trivial, broken, colors)
+    # decompose and recompose hold on any energy
+    energy = EnergyMatrix(((0, 0, 1), (0, 2, 1), (0, 0, 0)))
+    pi = (Primary(5, 1), Primary(0, 2))
+    assert recompose(decompose(pi, energy, colors), energy, colors) == pi
 
 
 class ForeignPart(NamedTuple):

@@ -336,6 +336,7 @@ def test_packed_view_reads_like_its_dict(case):
     plain = dict(view.items())
     assert len(view) == len(plain) and list(view) == list(plain)
     assert list(view.items()) == list(plain.items())
+    assert list(view.values()) == list(plain.values())
     assert 0 not in plain.values()
     for key, v in plain.items():
         assert view.get(key) == v and view[key] == v and key in view
