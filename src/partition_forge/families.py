@@ -6,10 +6,21 @@ checked against the lists produced here.  All walks are finite under a
 budget (total size cap, part-count cap, optional color-word filter).
 
 One driver, ``_walk``, does every walk: a depth-first search kept on an
-explicit stack of child generators, so no budget can overflow the Python
-stack.  A family supplies only its successor rule: ``children(state)``
-yields ``(part, next_state, keep)`` for every admissible next part, where
-``keep`` says whether the path ending in that part is emitted.  There are
+explicit stack of iterators over successor lists, so no budget can overflow
+the Python stack.  A family supplies only its successor rule:
+``children(state)`` yields ``(part, next_state, keep)`` for every admissible
+next part, where ``keep`` says whether the path ending in that part is
+emitted.  Paths meet the same state again and again (a flat part's size is
+forced by its right neighbour: a Bn1-Ln character route at rank 3 and order
+6 visits 87 states 21,120 times), so ``_walk`` keeps, for one call, a dict
+from each state to the list of its successors: the rule runs on a state's
+first visit and the list is replayed on every later one.  So a rule must be
+a pure function of its state, as both rules are; the part cap is applied by
+the driver to the path, and a state's successors do not depend on its
+depth.  The dict holds only the distinct states reached, with their
+successors, whose parts the members share; their number grows polynomially
+in the budget.  A rule that raises partway through a state's successors
+does so on its first visit, before the walk enters any of them.  There are
 two rules:
 
 - flat (F1, F2, Fk and both character routes): one rule for every degree
@@ -116,20 +127,26 @@ def _walk(children, root, budget):
     """Every kept path of a depth-first walk from ``root``, as a tuple of parts.
 
     The empty path is kept when the budget has no word to spell; no path
-    grows past the part cap.
+    grows past the part cap.  Each state is expanded once: its successors
+    are listed on the first visit and the list is replayed on every later
+    one, so ``children`` must be a pure function of its state.
     """
     if not budget.word:
         yield ()
     max_parts = budget.max_parts
+    expanded = {root: list(children(root))}  # state -> its successors
     path = []
-    stack = [children(root)]  # stack[i] yields the successors of path[:i]
+    stack = [iter(expanded[root])]  # stack[i] yields the successors of path[:i]
     while stack:
         for part, state, keep in stack[-1]:
             path.append(part)
             if keep:
                 yield tuple(path)
             if len(path) < max_parts:
-                stack.append(children(state))
+                row = expanded.get(state)
+                if row is None:
+                    row = expanded[state] = list(children(state))
+                stack.append(iter(row))
             else:
                 path.pop()
             break

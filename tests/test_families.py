@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import partial
 from itertools import product
 
 import pytest
@@ -636,6 +637,140 @@ def test_upper_regular_walks_generate_no_dead_ends(tag, monkeypatch):
             term = tag in ("R1", "R2")
             prefixes = {pi[:i] for pi in found for i in range(len(pi) + 1 - term)}
             assert [c for c in generated if c not in prefixes] == [], (energy, word)
+
+
+def _walks_of(monkeypatch, walk, call):
+    """Every list of paths that ``call`` gets from ``walk`` standing in for
+    ``families._walk``, and what the call returns or the type and message
+    of what it raises."""
+    from partition_forge import families
+
+    walks = []
+
+    def recorded(children, root, budget):
+        walks.append(list(walk(children, root, budget)))
+        return walks[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(families, "_walk", recorded)
+        try:
+            result = call()
+        except Exception as error:
+            result = type(error), str(error)
+    return walks, result
+
+
+def _assert_walk_is_the_plain_walk(monkeypatch, calls):
+    # the driver and the plain recursive walk, which runs children afresh
+    # on every visit, give the same paths in the same order, or the same error
+    from partition_forge import families
+
+    driver = families._walk
+    for call in calls:
+        assert _walks_of(monkeypatch, driver, call) == _walks_of(
+            monkeypatch, _recording_walk([]), call), call
+
+
+def test_walk_is_the_plain_walk_on_the_canonical_cases(monkeypatch):
+    _assert_walk_is_the_plain_walk(monkeypatch, [
+        partial(walk_members, tag, energy, colors, budget, degree=degree)
+        for tag, degree, colors, energy, budget in _canonical_cases()])
+
+
+def test_walk_is_the_plain_walk_on_the_character_routes(monkeypatch):
+    from partition_forge.characters import CHARACTER_FAMILIES, build_config, character_lhs
+
+    # every family at ranks 2 and 3, but B, whose least rank is 3
+    configs = [build_config(family, rank) for family in CHARACTER_FAMILIES for rank in (2, 3)
+               if (family, rank) != ("Bn1-Ln", 2)]
+    calls = [partial(character_lhs, config, order, route) for config in configs
+             for order in range(7) for route in ("direct", "transform")]
+    assert len(calls) == 7 * 7 * 2
+    _assert_walk_is_the_plain_walk(monkeypatch, calls)
+
+
+def test_walk_is_the_plain_walk_on_size_counts(monkeypatch):
+    calls = []
+    for colors, energy in (strict_energy(), mixed_energy()):
+        words = [w(colors, "".join(t)) for n in range(4) for t in product("ab", repeat=n)]
+        calls += [partial(size_counts, tag, energy, colors, word, 6, degree)
+                  for word in words for tag, degree in TAG_DEGREES]
+    assert len(calls) == 2 * 15 * 10
+    _assert_walk_is_the_plain_walk(monkeypatch, calls)
+
+
+def test_walk_is_the_plain_walk_where_the_rules_raise(monkeypatch):
+    from partition_forge.core import ColorSystem
+
+    # a negative size past the row's break, a negative part, and a negative
+    # transformed degree, each raised partway through a walk
+    colors = ColorSystem(("a", "g"), 1)
+    energy = EnergyMatrix(((-1, 1), (2, 0)))
+    calls = [partial(flat_walk, energy, colors, Budget(max_size, 10),
+                     transform=SizeTransform(1, (5, 0))) for max_size in (10, 11, 12)]
+    colors = ColorSystem(("a", "b", "g"), 2)
+    energy = EnergyMatrix(((0, -1, 1), (-1, 0, 1), (0, 0, 0)))
+    calls += [partial(walk_members, tag, energy, colors, budget)
+              for tag, budget in (("F1", Budget(4, 3)), ("R1", Budget(4, 3)),
+                                  ("R1", Budget(0, 10**6)))]
+    colors, energy = strict_energy()
+    calls += [partial(walk_members, tag, energy, colors, Budget(6, 7),
+                      transform=SizeTransform(1, (-2, 0, 0)))
+              for tag in ("F1", "F2", "R1", "O+", "E+")]
+    for call in calls[1:]:
+        with pytest.raises(UsageError, match="negative"):
+            call()
+    _assert_walk_is_the_plain_walk(monkeypatch, calls)
+
+
+def _expansions(monkeypatch, walk, call):
+    """Per walk that ``call`` makes through ``walk``, standing in for
+    ``families._walk``, a Counter of the times ``children`` ran on each state."""
+    from partition_forge import families
+
+    counts = []
+
+    def counting(children, root, budget):
+        counts.append(Counter())
+
+        def counted(state, seen=counts[-1]):
+            seen[state] += 1
+            return children(state)
+
+        return walk(counted, root, budget)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(families, "_walk", counting)
+        call()
+    return counts
+
+
+def test_the_walk_expands_each_state_once(monkeypatch):
+    from partition_forge import families
+    from partition_forge.characters import build_config, character_lhs
+
+    def expansions(walk, call):
+        # (states, visits): equal when each state is expanded once
+        counts = _expansions(monkeypatch, walk, call)
+        return sum(map(len, counts)), sum(sum(seen.values()) for seen in counts)
+
+    # each Bn1-Ln route at rank 3 and order 6 walks 87 states, which the
+    # plain walk expands 21,120 times
+    config = build_config("Bn1-Ln", 3)
+    for route in ("direct", "transform"):
+        call = partial(character_lhs, config, 6, route)
+        assert expansions(families._walk, call) == (87, 87)
+        assert expansions(_recording_walk([]), call) == (87, 21120)
+    # the 37 catalog R1 walks at Budget(7, 7): 3,283 states, 26,708 visits
+    energies = small_energies()
+    assert len(energies) == 37
+
+    def catalog():
+        for colors, energy in energies:
+            walk_members("R1", energy, colors, Budget(7, 7))
+
+    assert expansions(families._walk, catalog) == (3283, 3283)
+    assert expansions(_recording_walk([]), catalog) == (3283, 26708)
 
 
 def test_huge_part_caps_stay_cheap():
