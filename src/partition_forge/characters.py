@@ -211,7 +211,7 @@ def _walk_gf(tag, setup, order):
     """Generating function of one family of an identity's (colors, energy,
     transformation) setup, walked under the transformation up to ``order``."""
     colors, energy, transform = setup
-    found = walk_members(tag, energy, colors, Budget(order, order + 1), transform=transform)
+    found = walk_members(tag, energy, colors, Budget(order), transform=transform)
     return gf_from_partitions(found, colors, energy, order, transform)
 
 

@@ -95,10 +95,7 @@ def _cmd_enumerate(args):
     colors, energy = load_energy(args.energy)
     _check_words(args, colors)
     word = _parse_word(args.word, colors) if args.word is not None else None
-    max_parts = args.max_parts
-    if max_parts is None:
-        max_parts = args.max_size + (len(word) if word else 0) + 1
-    budget = families.Budget(args.max_size, max_parts, word)
+    budget = families.Budget(args.max_size, args.max_parts, word)
     found = families.members(args.family, energy, colors, budget, degree=args.degree)
     if args.json:
         print(

@@ -10,7 +10,8 @@ part has degree one and a secondary part degree two.  Partitions are plain
 tuples of parts read left to right from the largest; grounded partitions end
 with the zero part of the distinguished ground color.
 
-Everything here is immutable and all relation predicates are pure
+Everything here is immutable (an energy only memoizes its ground delta,
+one value per ground index) and all relation predicates are pure
 functions, so values can be shared freely.
 """
 
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 
@@ -66,15 +66,6 @@ class ColorSystem:
             "_non_ground",
             tuple(c for c in range(len(self.names)) if c != self.ground),
         )
-        # ground_delta's cache is looked up per map call and per part pair
-        object.__setattr__(self, "_hash", hash((self.names, self.ground)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # string hashes differ between processes: a copy hashes afresh
-        return (ColorSystem, (self.names, self.ground))
 
     @property
     def n(self):
@@ -107,13 +98,10 @@ class EnergyMatrix:
         for row in rows:
             if len(row) != len(rows):
                 raise EnergyStructureError("energy table must be square")
-        # the maps look up ground_delta's cache and check minimality on every
-        # call, so hash and check once
-        object.__setattr__(self, "_hash", hash(rows))
+        # the maps check minimality and read delta_g on every call: check
+        # once, and let ground_delta fill the memo
         object.__setattr__(self, "minimal", all(v in (0, 1) for row in rows for v in row))
-
-    def __hash__(self):
-        return self._hash
+        object.__setattr__(self, "_delta", {})
 
     @property
     def n(self):
@@ -165,15 +153,21 @@ def validate_energy(energy, colors):
     }
 
 
-@lru_cache(maxsize=None)
 def ground_delta(energy, colors):
-    """The common value delta_g = eps(ground, c), raising if it does not exist."""
-    report = validate_energy(energy, colors)
-    if not report["ground_ok"]:
-        raise UsageError(
-            "energy is not ground-compatible: " + "; ".join(report["violations"])
-        )
-    return report["delta_g"]
+    """The common value delta_g = eps(ground, c), raising if it does not exist.
+
+    The energy memoizes the value per ground index: the labels enter only
+    the error text, and a failure is never memoized.
+    """
+    delta = energy._delta.get(colors.ground)
+    if delta is None or len(energy.values) != len(colors.names):
+        report = validate_energy(energy, colors)
+        if not report["ground_ok"]:
+            raise UsageError(
+                "energy is not ground-compatible: " + "; ".join(report["violations"])
+            )
+        delta = energy._delta[colors.ground] = report["delta_g"]
+    return delta
 
 
 # ---------------------------------------------------------------------------

@@ -102,19 +102,25 @@ FAMILY_TAGS = (F1, R1, F2, R2, O_PLUS, O_MINUS, E_PLUS, E_MINUS, FK)
 
 @dataclass(frozen=True)
 class Budget:
-    """Finite enumeration window: total-size cap, length cap, optional word."""
+    """Finite enumeration window: total-size cap, length cap, optional word.
+
+    The length cap defaults to ``max_size + len(word) + 1``, or
+    ``max_size + 1`` without a word.
+    """
 
     max_size: int
-    max_parts: int
+    max_parts: int = None
     word: tuple = None
 
     def __post_init__(self):
         if self.max_size < 0:
             raise UsageError("max_size must be non-negative")
-        if self.max_parts < 1:
-            raise UsageError("max_parts must be positive")
         if self.word is not None:
             object.__setattr__(self, "word", tuple(self.word))
+        if self.max_parts is None:
+            object.__setattr__(self, "max_parts", self.max_size + len(self.word or ()) + 1)
+        if self.max_parts < 1:
+            raise UsageError("max_parts must be positive")
 
 
 def canonical_key(pi, energy):
@@ -436,12 +442,10 @@ def members(tag, energy, colors, budget, degree=None, transform=None):
 
 def size_counts(tag, energy, colors, word, max_size, degree=None):
     """Counter of the sizes of the family members with the given non-ground
-    word, from one walk under ``Budget(max_size, len(word) + max_size + 1,
-    word)``.  A Counter, since O- and E- sizes can be negative.
+    word, from one walk under ``Budget(max_size, word=word)`` and its default
+    part cap.  A Counter, since O- and E- sizes can be negative.
     """
-    word = tuple(word)
-    budget = Budget(max_size=max_size, max_parts=len(word) + max_size + 1, word=word)
-    found = walk_members(tag, energy, colors, budget, degree=degree)
+    found = walk_members(tag, energy, colors, Budget(max_size, word=tuple(word)), degree=degree)
     return Counter(partition_size(pi, energy) for pi in found)
 
 

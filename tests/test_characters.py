@@ -376,8 +376,9 @@ def test_character_lhs_raises_exactly_when_a_coefficient_is_infinite():
     (siladic_setup(), ("R2", "F2", "O+")),
 ), ids=("glaisher_analogue-3", "keith_xiong-2", "keith_xiong-3", "siladic"))
 def test_identity_walks_need_no_more_parts_than_their_order(setup, tags):
-    # the named identities walk under Budget(order, order + 1): four times
-    # that part cap finds no further member
+    # the named identities walk under Budget(order), whose part cap is
+    # order + 1: four times that cap finds no further member
+    assert Budget(10) == Budget(10, 11)
     colors, energy, transform = setup
     for tag in tags:
         assert walk_members(tag, energy, colors, Budget(10, 11), transform=transform) == \

@@ -1,7 +1,9 @@
+import gc
 import os
 import pickle
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -100,27 +102,73 @@ def test_validate_energy_dimension_mismatch():
         validate_energy(EnergyMatrix(((0,),)), colors)
 
 
-def test_color_system_hash_is_cached():
+# ground-compatible with delta_g = 0 at ground 2 and 1 at ground 0, not at ground 1
+GROUNDED = ((0, 1, 1), (0, 0, 1), (0, 0, 0))
+
+
+def test_color_system_hashes_as_its_fields():
     colors = ColorSystem(("a", "b", "g"), 2)
     again = ColorSystem(["a", "b", "g"], 2)
     assert colors == again and hash(colors) == hash(again)
     assert hash(colors) == hash((colors.names, colors.ground))
     assert ColorSystem(("a", "b", "g"), 1) != colors
+    # the memoized delta_g enters neither equality nor the hash
+    energy = EnergyMatrix(GROUNDED)
+    ground_delta(energy, colors)
+    assert energy == EnergyMatrix(GROUNDED) and hash(energy) == hash(EnergyMatrix(GROUNDED))
 
 
 def test_color_system_unpickled_elsewhere_hashes_afresh():
-    # string hashes are salted per process, so a cached hash must not travel
+    # string hashes are salted per process, so a copy must hash afresh; the
+    # energy travels with its delta_g already memoized
     code = (
         "import pickle, sys\n"
-        "from partition_forge.core import ColorSystem\n"
-        "got = pickle.loads(sys.stdin.buffer.read())\n"
-        "print({ColorSystem(('a', 'b', 'g'), 2): 'found'}.get(got))\n"
-    )
+        "from partition_forge.core import ColorSystem, EnergyMatrix, ground_delta\n"
+        "colors, energy = pickle.loads(sys.stdin.buffer.read())\n"
+        "table = {ColorSystem(('a', 'b', 'g'), 2): 'found',\n"
+        "         EnergyMatrix(%r): 'energy'}\n"
+        "print(table.get(colors), table.get(energy), ground_delta(energy, colors))\n"
+    ) % (GROUNDED,)
+    colors, energy = ColorSystem(("a", "b", "g"), 2), EnergyMatrix(GROUNDED)
+    assert ground_delta(energy, colors) == 0
     env = dict(os.environ, PYTHONHASHSEED="1",
                PYTHONPATH=os.path.dirname(os.path.dirname(partition_forge.__file__)))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          input=pickle.dumps(ColorSystem(("a", "b", "g"), 2)), timeout=60)
-    assert done.stdout == b"found\n", done.stderr
+                          input=pickle.dumps((colors, energy)), timeout=60)
+    assert done.stdout == b"found energy 0\n", done.stderr
+
+
+def test_ground_delta_keeps_no_energy_alive():
+    # values no other test uses, so no equal energy was looked up before
+    colors = ColorSystem(("kept_a", "kept_b", "kept_g"), 2)
+    energy = EnergyMatrix(((0, 23571, 1), (-23571, 0, 1), (0, 0, 0)))
+    assert ground_delta(energy, colors) == 0
+    refs = weakref.ref(energy), weakref.ref(colors)
+    del energy, colors
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_ground_delta_memo_checks_size_labels_and_ground():
+    energy = EnergyMatrix(GROUNDED)
+    assert ground_delta(energy, ColorSystem(("a", "b", "g"), 2)) == 0
+    # another number of colors with the same ground index still mismatches
+    with pytest.raises(EnergyStructureError, match="energy is 3x3 but there are 4 colors"):
+        ground_delta(energy, ColorSystem(("a", "b", "g", "h"), 2))
+    # the labels do not enter the value
+    assert ground_delta(energy, ColorSystem(("x", "y", "z"), 2)) == 0
+    # each ground index has its own value, and a failure raises every time
+    assert ground_delta(energy, ColorSystem(("g", "b", "c"), 0)) == 1
+    cases = [(energy, ColorSystem(("a", "g", "c"), 1),
+              "eps(ground, c) = 1 disagrees with delta_g = 0"),
+             (EnergyMatrix(((0, 1, 0), (0, 0, 1), (1, 0, 0))), ColorSystem(("a", "b", "g"), 2),
+              "eps(ground, b) = 0 disagrees with delta_g = 1")]
+    for bad, colors, violation in cases:
+        for _ in range(2):
+            with pytest.raises(UsageError) as info:
+                ground_delta(bad, colors)
+            assert str(info.value) == "energy is not ground-compatible: " + violation
+    assert ground_delta(energy, ColorSystem(("a", "b", "g"), 2)) == 0
 
 
 def test_flat_relation_examples():

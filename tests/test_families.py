@@ -257,6 +257,15 @@ def test_budget_validation():
         Budget(-1, 3)
     with pytest.raises(UsageError):
         Budget(3, 0)
+    # the part cap defaults to one past the size and the word's letters
+    assert Budget(5).max_parts == 6
+    assert Budget(5, word=(0, 1)).max_parts == 8
+    assert Budget(5, word=[0, 1]) == Budget(5, 8, (0, 1))
+    assert Budget(5, 2, (0, 1)).max_parts == 2 and Budget(0, 1).max_parts == 1
+    with pytest.raises(UsageError, match="^max_parts must be positive$"):
+        Budget(3, 0)
+    with pytest.raises(UsageError, match="^max_size must be non-negative$"):
+        Budget(-1)
 
 
 def test_unknown_tag():
