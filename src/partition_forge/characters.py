@@ -118,26 +118,26 @@ def build_config(family, rank):
 def character_lhs(config, order, route="direct"):
     """Flat-partition generating function, by either enumeration route.
 
-    A part of charge zero has one size per color, and only the z colors
-    whose shift is a non-positive multiple of the scale have one.  A member
-    of charge at most ``order`` has at most ``order`` other parts, which
-    split the rest into at most ``order + 1`` runs.  So a member with
-    ``(order + 1) * (z + 1)`` parts before its terminal repeats a part, and
-    with it the walk's state, inside one run, and that run can repeat
-    without end: the walk reaches this part cap exactly when a coefficient
-    up to ``order`` is infinite, and then ``UsageError`` is raised.
+    Both routes walk under the part cap ``(order + 1) * (n + 1)``, n the
+    number of colors.  A part of charge zero has at most one size per color,
+    so at most n kinds.  A member of charge at most ``order`` has at most
+    ``order`` other parts, which split the rest into at most ``order + 1``
+    runs.  So a member with ``(order + 1) * (n + 1)`` parts before its
+    terminal repeats a part, and with it the walk's state, inside one run,
+    and that run can repeat without end: the walk reaches this part cap
+    exactly when a coefficient up to ``order`` is infinite, and then
+    ``UsageError`` is raised.
 
     The member lists are consumed unsorted: the series sum is order-free and
     the direct route alone can visit millions of partitions at order ten.
     """
     if route == "direct":
-        energy, transform, z = config.energy_prime, None, config.colors.n
+        energy, transform = config.energy_prime, None
     elif route == "transform":
         energy, transform = config.energy, config.transform
-        z = sum(s <= 0 and s % transform.scale == 0 for s in transform.shifts)
     else:
         raise UsageError("route must be 'direct' or 'transform'")
-    cap = (order + 1) * (z + 1)
+    cap = (order + 1) * (config.colors.n + 1)
     flats = flat_walk(energy, config.colors, Budget(order, cap), transform=transform)
     if max(map(len, flats)) > cap:  # the terminal is not counted by the cap
         raise UsageError("zero-charge parts repeat, so a coefficient up to q^%d is infinite" % order)

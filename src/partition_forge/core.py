@@ -10,15 +10,17 @@ part has degree one and a secondary part degree two.  Partitions are plain
 tuples of parts read left to right from the largest; grounded partitions end
 with the zero part of the distinguished ground color.
 
-Everything here is immutable (an energy only memoizes its ground delta,
-one value per ground index) and all relation predicates are pure
-functions, so values can be shared freely.
+Everything here is immutable (a color system only caches its non-ground
+indices, and an energy only memoizes its ground delta, one value per ground
+index) and all relation predicates are pure functions, so values can be
+shared freely.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 
@@ -61,20 +63,15 @@ class ColorSystem:
                 raise EnergyStructureError(
                     "color labels may not contain whitespace or start with '#': %r" % (name,)
                 )
-        object.__setattr__(
-            self,
-            "_non_ground",
-            tuple(c for c in range(len(self.names)) if c != self.ground),
-        )
 
     @property
     def n(self):
         return len(self.names)
 
-    @property
+    @cached_property
     def non_ground(self):
         """Indices of the colors allowed in color words."""
-        return self._non_ground
+        return tuple(c for c in range(len(self.names)) if c != self.ground)
 
     def index(self, label):
         try:

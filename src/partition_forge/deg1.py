@@ -80,7 +80,10 @@ def omega(pi, energy, colors):
     sizes, cols = read_degree_one(F1, pi, energy, colors)
     g = colors.ground
     s = len(cols) - cols.count(g)  # the colored parts
-    if s == len(cols) - 1:  # no ground part to move: pi is its own image
+    # no ground part to move: pi is its own image.  This return carries
+    # load: the loop below assumes a colored part, so without it the trivial
+    # partition 0g (s = 0, one entry in heights) would raise IndexError
+    if s == len(cols) - 1:
         return tuple([_new(Primary, p) for p in zip(sizes, cols)])
     ev = energy.values
 

@@ -73,7 +73,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import chain, product
 from math import inf
 from operator import itemgetter
@@ -181,12 +181,13 @@ def flat_walk(energy, colors, budget, degree=1, make=Primary, transform=None):
     ends the walk: a caller that must see every member within the charge
     checks that none reaches the cap, as ``characters.character_lhs`` does.
 
-    Each row (the words that may precede a given first color) is sorted
-    once by what a word adds to the charge beyond the share of the part to
-    its right, which the row has in common, so a node's scan breaks at the
-    first word over the budget.  A negative charge sorts before the break
-    and is checked per word; a negative size need not, so a node first
-    raises if its row's least lift gives one.
+    Each row (the words that may precede a given first color) is built when
+    a node first needs it and cached per first color for the call.  It is
+    sorted once by what a word adds to the charge beyond the share of the
+    part to its right, which the row has in common, so a node's scan breaks
+    at the first word over the budget.  A negative charge sorts before the
+    break and is checked per word; a negative size need not, so a node
+    first raises if its row's least lift gives one.
     """
     k, n, g = degree, colors.n, colors.ground
     e = energy.values
@@ -214,26 +215,23 @@ def flat_walk(energy, colors, budget, degree=1, make=Primary, transform=None):
     # its part after the base, and its first and last colors
     words = [(head, k * inside - head, sum(map(sh.__getitem__, w)), tuple(filter(g.__ne__, w)),
               spread(w), w[0], w[-1]) for w, head, inside in table]
-    rows = [None] * n
+    # the root's row (d = -1) is the ground's without a zero-size ground
+    # word, which would duplicate the terminal (and its lift, -below, leaves
+    # the least lift harmless)
+    i = g * sum(n ** j for j in range(k))  # the ground word's place
+    skip = i if words[i][0] + k * e[g][g] + below == 0 else None
 
-    def ranked(d, skip=None):
-        # the words above a part whose word starts with d, but the one at
-        # place skip, each with its lift (what it adds to that part's size
-        # plus tail), sorted by the charge it adds beyond sc * below; and
-        # the least lift
-        lifts = [head + k * e[last][d] for head, *_, last in words]
+    @cache
+    def ranked(d):
+        # the words above a part whose word starts with d, each with its
+        # lift (what it adds to that part's size plus tail), sorted by the
+        # charge it adds beyond sc * below; and the least lift
+        lifts = [head + k * e[last][g if d < 0 else d] for head, *_, last in words]
         return sorted([(sc * lift + shift, lift, head, tail, letters, fields, w0)
                        for j, (lift, (head, tail, shift, letters, fields, w0, _))
-                       in enumerate(zip(lifts, words)) if j != skip], key=itemgetter(0)), min(lifts)
+                       in enumerate(zip(lifts, words)) if d >= 0 or j != skip],
+                      key=itemgetter(0)), min(lifts)
 
-    def build(d):
-        rows[d] = ranked(d)
-        return rows[d]
-
-    # the root's row, last: a zero-size ground word would duplicate the
-    # terminal (and its lift, -below, leaves the least lift harmless)
-    i = g * sum(n ** j for j in range(k))  # the ground word's place
-    rows.append(ranked(g, i if words[i][0] + k * e[g][g] + below == 0 else None))
     new = tuple.__new__
 
     def children(state):
@@ -241,7 +239,7 @@ def flat_walk(energy, colors, budget, degree=1, make=Primary, transform=None):
         # its size plus tail, the budget spent, and the word letters
         # consumed from the right
         d, below, total, consumed = state
-        row, least = rows[d] or build(d)
+        row, least = ranked(d)
         # a word of negative size may sort past the break, so check the row once
         if below + least < 0:
             raise UsageError("negative part size; energy unsuitable for flat enumeration")

@@ -320,9 +320,6 @@ class PackedRows(Mapping):
 def _shift_add(rows, src, dst, m, s):
     """rows[dst] += s * x^m * rows[src], for distinct rows on packed keys."""
     into = rows[dst]
-    if not into:
-        rows[dst] = {k + m: s * v for k, v in rows[src].items()}
-        return
     get = into.get
     for k, v in rows[src].items():
         k += m

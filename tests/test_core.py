@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import os
 import pickle
@@ -112,6 +113,14 @@ def test_color_system_hashes_as_its_fields():
     assert colors == again and hash(colors) == hash(again)
     assert hash(colors) == hash((colors.names, colors.ground))
     assert ColorSystem(("a", "b", "g"), 1) != colors
+    # the cached non-ground indices enter neither equality nor the hash,
+    # and the cache leaves the class frozen
+    read = ColorSystem(("a", "b", "g"), 2)
+    assert read.non_ground == (0, 1)
+    assert read == again and hash(read) == hash(again) and again == read
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        read.non_ground = ()
+    assert read.non_ground == (0, 1)
     # the memoized delta_g enters neither equality nor the hash
     energy = EnergyMatrix(GROUNDED)
     ground_delta(energy, colors)
@@ -120,22 +129,24 @@ def test_color_system_hashes_as_its_fields():
 
 def test_color_system_unpickled_elsewhere_hashes_afresh():
     # string hashes are salted per process, so a copy must hash afresh; the
-    # energy travels with its delta_g already memoized
+    # colors travel with their non-ground indices already cached and the
+    # energy with its delta_g already memoized
     code = (
         "import pickle, sys\n"
         "from partition_forge.core import ColorSystem, EnergyMatrix, ground_delta\n"
         "colors, energy = pickle.loads(sys.stdin.buffer.read())\n"
         "table = {ColorSystem(('a', 'b', 'g'), 2): 'found',\n"
         "         EnergyMatrix(%r): 'energy'}\n"
-        "print(table.get(colors), table.get(energy), ground_delta(energy, colors))\n"
+        "print(table.get(colors), table.get(energy), ground_delta(energy, colors),\n"
+        "      colors.non_ground)\n"
     ) % (GROUNDED,)
     colors, energy = ColorSystem(("a", "b", "g"), 2), EnergyMatrix(GROUNDED)
-    assert ground_delta(energy, colors) == 0
+    assert ground_delta(energy, colors) == 0 and colors.non_ground == (0, 1)
     env = dict(os.environ, PYTHONHASHSEED="1",
                PYTHONPATH=os.path.dirname(os.path.dirname(partition_forge.__file__)))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           input=pickle.dumps((colors, energy)), timeout=60)
-    assert done.stdout == b"found energy 0\n", done.stderr
+    assert done.stdout == b"found energy 0 (0, 1)\n", done.stderr
 
 
 def test_ground_delta_keeps_no_energy_alive():

@@ -191,15 +191,20 @@ def run(energies, replace):
     return table
 
 
-def main():
+def digests():
+    """``run`` over the shipped energies and the test texts, written to a
+    temporary directory that is removed afterwards."""
     with tempfile.TemporaryDirectory() as tmp:
         energies = {name: str(path) for name, path in SHIPPED.items()}
         for name, text in TEXTS.items():
             path = Path(tmp) / ("%s.energy" % name)
             path.write_text(text, encoding="utf-8")
             energies[name] = str(path)
-        table = run(energies, ((tmp, "<tmp>"), (str(ROOT), "<root>")))
-    for verb, (calls, digest) in table.items():
+        return run(energies, ((tmp, "<tmp>"), (str(ROOT), "<root>")))
+
+
+def main():
+    for verb, (calls, digest) in digests().items():
         print("%-12s %6d  %s" % (verb, calls, digest))
     return 0
 
