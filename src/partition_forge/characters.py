@@ -249,24 +249,6 @@ def _walked(setup, order, **tags):
     return {label: _walk_gf(tag, setup, order) for label, tag in tags.items()}
 
 
-def _keith_xiong(order, m):
-    """Classical m-flat and m-regular counts by residue vector, from one pass
-    over the partitions, then the F1 and R1 walks."""
-    flat, regular = Counter(), Counter()
-    for n in range(order + 1):
-        for lam in classic.partitions_of(n):
-            key = (n, classic.residue_vector(lam, m))
-            if classic.is_m_flat(lam, m):
-                flat[key] += 1
-            if classic.is_m_regular(lam, m):
-                regular[key] += 1
-    return {
-        "flat": TruncatedSeries(order, m - 1, flat),
-        "regular": TruncatedSeries(order, m - 1, regular),
-        **_walked(keith_xiong_setup(m), order, flat_colored="F1", regular_colored="R1"),
-    }
-
-
 def _glaisher_product(m, order):
     """(q^m; q^m)_inf / (q; q)_inf, Glaisher's product side and Euler's at m = 2."""
     return pochhammer_expand(
@@ -274,11 +256,16 @@ def _glaisher_product(m, order):
     )
 
 
-def _classical(order, predicate):
-    """q-only series of the classical partition counts under ``predicate``."""
-    return TruncatedSeries(
-        order, 0, {(n, ()): classic.count(n, predicate) for n in range(order + 1)}
-    )
+def _classical(order, predicate, m=None):
+    """Series of the classical partition counts under ``predicate``: q-only,
+    or given m, by ``classic.residue_vector`` in m - 1 variables."""
+    if m is None:
+        return TruncatedSeries(
+            order, 0, {(n, ()): classic.count(n, predicate) for n in range(order + 1)}
+        )
+    return TruncatedSeries(order, m - 1, Counter(
+        (n, classic.residue_vector(lam, m))
+        for n in range(order + 1) for lam in classic.partitions_of(n) if predicate(lam)))
 
 
 def _by_degree(series):
@@ -311,7 +298,11 @@ _IDENTITIES = {
         "flat": _classical(order, lambda lam: classic.is_m_flat(lam, m)),
         "product": _glaisher_product(m, order),
     }),
-    "keith_xiong": (True, _keith_xiong),
+    "keith_xiong": (True, lambda order, m: {
+        "flat": _classical(order, lambda lam: classic.is_m_flat(lam, m), m),
+        "regular": _classical(order, lambda lam: classic.is_m_regular(lam, m), m),
+        **_walked(keith_xiong_setup(m), order, flat_colored="F1", regular_colored="R1"),
+    }),
     "glaisher_analogue": (True, lambda order, m: {
         "regular_distinct": _classical(order, lambda lam: classic.is_m_regular_distinct(lam, m)),
         "flat_second_kind": _classical(order, lambda lam: classic.is_second_kind_flat(lam, m)),

@@ -74,15 +74,11 @@ def rmap_inv(pi, energy, colors):
     ground_delta(energy, colors)
     validate_member("R2", pi, energy, colors)
     g = colors.ground
-    out = []
-    for p in pi[:-1]:
-        if p.left != g and p.right != g:
-            out.append(p)
-        elif p.right == g:
-            out.append(Primary(secondary_size(p, energy), p.left))
-        else:
-            out.append(Primary(secondary_size(p, energy), p.right))
-    result = tuple(out)
+    # R2 validation rejected the ground pair, so a part that carries the
+    # ground carries one other color, which its primary part keeps
+    result = tuple(p if g not in (p.left, p.right) else
+                   Primary(secondary_size(p, energy), p.left if p.right == g else p.right)
+                   for p in pi[:-1])
     validate_member("E+", result, energy, colors)
     return result
 

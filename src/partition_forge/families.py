@@ -39,7 +39,8 @@ two rules:
   for R2.  ``drops[p][q]`` is the least drop in size from a part of word p
   to the next, of word q: eps(c, d) between primary parts (plus one in E),
   eps(c, d) + eps(d, d') from a primary to a secondary part, eps(l, r) +
-  eps(r, d) + 1 back, and eps'_2 = eps_2 + 2 delta between secondary parts.
+  eps(r, d) + 1 back, and eps'_2 = eps_2 + 2 delta between secondary parts
+  (``core.epsilon2_prime``).
   R1 and R2 end a path with the drop to their terminal part, O+ and E+ on
   any part at or above the half line len(w)*rho + inner(w), rho = 1 -
   delta_g.  One cached table per walk prunes all four: per count of letters
@@ -84,7 +85,7 @@ from .core import (
     Primary,
     Secondary,
     UsageError,
-    delta_exception,
+    epsilon2_prime,
     ground_delta,
     min_diff_rel,
     mixed_rel,
@@ -274,7 +275,9 @@ def _tail_table(tag, energy, colors, transform, word, max_parts):
     """A regular walk's one cached table, its drops and levels:
     ``levels[left]`` lists, with ``left`` letters or parts left, the next
     part's ``(index, len(w), inner(w), part type, w, charge shift, letters
-    or parts used, least size that ends a path, front)`` (module docstring)."""
+    or parts used, least size that ends a path, front)`` (module docstring).
+    The drop between two secondary parts is ``core.epsilon2_prime``, the
+    definition of eps'_2; the table is built once per cached call."""
     g, ng, ev = colors.ground, colors.non_ground, energy.values
     mixed = tag in (E_PLUS, E_MINUS)
     if tag == R2:
@@ -289,9 +292,7 @@ def _tail_table(tag, energy, colors, transform, word, max_parts):
             return step + (ev[q[0]][q[1]] if len(q) == 2 else mixed)  # E: more than eps
         if len(q) == 1:
             return ev[p[0]][p[1]] + step + 1
-        # eps'_2 = eps_2 + 2 delta, and delta is zero off the ground
-        delta = delta_exception(energy, colors, *p, *q) if g in p + q else 0
-        return ev[p[0]][p[1]] + 2 * step + ev[q[0]][q[1]] + 2 * delta
+        return epsilon2_prime(energy, colors, *p, *q)
 
     # per word w in walk order: (index, len(w), inner(w), part type, w, letters);
     # the drops to R1's and R2's terminal come last
@@ -463,17 +464,30 @@ def _require(cond, message, *args):
         raise InvalidPartitionError(message % args)
 
 
+def _check_ends(bases, words, ground):
+    """Raise unless a grounded partition, given as the bases and color words
+    of its parts, ends in the zero ground part (base 0, word ``ground``)
+    with no zero ground part before it: the one check of the grounded end
+    for F1, R1, F2, Fk and R2.  Emptiness is reported first."""
+    if not bases:
+        raise InvalidPartitionError("grounded partition cannot be empty")
+    if bases[-1] != 0 or words[-1] != ground:
+        raise InvalidPartitionError("terminal part must be the zero ground part")
+    if len(bases) > 1 and bases[-2] == 0 and words[-2] == ground:
+        raise InvalidPartitionError("part before the terminal cannot be the zero ground part")
+
+
 def read_degree_one(tag, pi, energy, colors):
     """Size and color lists of an F1 or R1 member, for ``validate_member``
     and the degree-one maps alike.
 
     Raises InvalidPartitionError for the first constraint violated, in this
-    order: emptiness, primary parts, the terminal part, the part before it,
-    R1's ground color, the relation between neighbours.  Parts are read by
-    attribute rather than checked by type, which is cheaper per part.
+    order: primary parts, then ``_check_ends`` (emptiness, the terminal
+    part, the part before it), R1's ground color, the relation between
+    neighbours.  An empty partition has no part to fail the first check, so
+    it is reported as empty.  Parts are read by attribute rather than
+    checked by type, which is cheaper per part.
     """
-    if not pi:
-        raise InvalidPartitionError("grounded partition cannot be empty")
     g = colors.ground
     sizes = []
     cols = []
@@ -483,10 +497,7 @@ def read_degree_one(tag, pi, energy, colors):
             cols.append(p.color)
     except AttributeError:
         raise InvalidPartitionError("parts must be primary") from None
-    if sizes[-1] != 0 or cols[-1] != g:
-        raise InvalidPartitionError("terminal part must be the zero ground part")
-    if len(sizes) > 1 and sizes[-2] == 0 and cols[-2] == g:
-        raise InvalidPartitionError("part before the terminal cannot be the zero ground part")
+    _check_ends(sizes, cols, g)
     flat = tag == F1
     if not flat and g in cols[:-1]:
         raise InvalidPartitionError("regular partitions avoid the ground color")
@@ -517,12 +528,11 @@ def validate_flat(pi, energy, colors, k):
     A part is read through its base (its first field) and its color word:
     primary parts have degree one, secondary parts two.  The messages come
     in the order of ``read_degree_one``'s, with the degree of every part in
-    place of the primary check.  x steps to y when base(x) - base(y) is
-    eps(last(x), first(y)) plus the energy inside y's word (``flat_rel``).
+    place of the primary check; both check the grounded end with
+    ``_check_ends``.  x steps to y when base(x) - base(y) is eps(last(x),
+    first(y)) plus the energy inside y's word (``flat_rel``).
     """
     require_degree(k)
-    if not pi:
-        raise InvalidPartitionError("grounded partition cannot be empty")
     try:
         words = [part_color_seq(p) for p in pi]
     except UsageError:  # not a part, so of no degree
@@ -530,11 +540,7 @@ def validate_flat(pi, energy, colors, k):
     if any(len(w) != k for w in words):
         raise InvalidPartitionError("parts must have degree %d" % k)
     bases = [p[0] for p in pi]
-    ground = (colors.ground,) * k
-    if bases[-1] != 0 or words[-1] != ground:
-        raise InvalidPartitionError("terminal part must be the zero ground part")
-    if len(pi) > 1 and bases[-2] == 0 and words[-2] == ground:
-        raise InvalidPartitionError("part before the terminal cannot be the zero ground part")
+    _check_ends(bases, words, (colors.ground,) * k)
     ev = energy.values
     for i in range(1, len(pi)):
         w = words[i]
@@ -558,13 +564,10 @@ def validate_member(tag, pi, energy, colors, degree=None):
                  "parts must have degree %d", require_degree(degree))
         validate_flat(pi, energy, colors, degree)
     elif tag == R2:
-        term = Secondary(0, g, g)
-        _require(len(pi) >= 1, "grounded partition cannot be empty")
         _require(all(isinstance(p, Secondary) for p in pi), "parts must be secondary")
-        _require(pi[-1] == term, "terminal part must be the zero ground part")
-        if len(pi) > 1:
-            _require(pi[-2] != term, "part before the terminal cannot be the zero ground part")
-        _require(all((p.left, p.right) != (g, g) for p in pi[:-1]),
+        pairs = [(p.left, p.right) for p in pi]
+        _check_ends([p.half for p in pi], pairs, (g, g))
+        _require((g, g) not in pairs[:-1],
                  "secondary regular partitions avoid the ground color pair")
         for x, y in zip(pi, pi[1:]):
             _require(secondary_regular_rel(x, y, energy, colors),

@@ -22,6 +22,12 @@ and answers every other read, a lookup included, from one ``_unpacked()``
 dict of every key, built per call.  Every other series keeps a plain dict,
 and ``TruncatedSeries`` reads either through the ``Mapping`` interface.
 
+The public ``TruncatedSeries(order, nvars, coeffs)`` checks every term.  The
+results this module builds (sums, negations, products, ``pochhammer_expand``
+and ``gf_from_partitions``) are zero-free, inside the order and of the right
+width by construction, so they go through the one unchecked constructor,
+``TruncatedSeries._of``.
+
 Both packers lay out their exponents as byte-wide signed digits of 8, 16,
 32 or 64 bits, sized so that no reachable exponent overflows, and one
 unpacker, ``_digits``, reads a key back to its exponent tuple with
@@ -76,6 +82,15 @@ class TruncatedSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _of(cls, order, nvars, coeffs):
+        """The series on ``coeffs`` as given, without the checks of ``__init__``:
+        for results that are zero-free, inside the order and of width nvars
+        by construction."""
+        out = cls.__new__(cls)
+        out.order, out.nvars, out.coeffs = order, nvars, coeffs
+        return out
+
+    @classmethod
     def zero(cls, order, nvars):
         return cls(order, nvars)
 
@@ -104,24 +119,18 @@ class TruncatedSeries:
                 coeffs[key] = w
             else:
                 coeffs.pop(key, None)
-        out = TruncatedSeries(self.order, self.nvars)
-        out.coeffs = coeffs
-        return out
+        return TruncatedSeries._of(self.order, self.nvars, coeffs)
 
     def __neg__(self):
-        out = TruncatedSeries(self.order, self.nvars)
-        out.coeffs = {k: -v for k, v in self.coeffs.items()}
-        return out
+        return TruncatedSeries._of(self.order, self.nvars, {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            out = TruncatedSeries(self.order, self.nvars)
-            if other:
-                out.coeffs = {k: v * other for k, v in self.coeffs.items()}
-            return out
+            return TruncatedSeries._of(self.order, self.nvars,
+                                       {k: v * other for k, v in self.coeffs.items() if other})
         self._check(other)
         order = self.order
         right = sorted(other.coeffs.items())  # by degree, so each left term stops at the order
@@ -134,9 +143,7 @@ class TruncatedSeries:
                     break
                 key = (d1 + d2, tuple(map(add, e1, e2)))
                 acc[key] = get(key, 0) + v1 * v2
-        out = TruncatedSeries(order, self.nvars)
-        out.coeffs = {key: v for key, v in acc.items() if v}
-        return out
+        return TruncatedSeries._of(order, self.nvars, {key: v for key, v in acc.items() if v})
 
     __rmul__ = __mul__
 
@@ -362,9 +369,7 @@ def pochhammer_expand(factors, order, nvars):
                 for d in range(top - a, -1, -1):
                     _shift_add(rows, d, d + a, m, s)
 
-    out = TruncatedSeries(order, nvars)
-    out.coeffs = PackedRows(rows, nvars, width)
-    return out
+    return TruncatedSeries._of(order, nvars, PackedRows(rows, nvars, width))
 
 
 def gf_from_partitions(partitions, colors, energy, order, transform=None):
@@ -400,4 +405,4 @@ def gf_from_partitions(partitions, colors, energy, order, transform=None):
     mask = (1 << top) - 1
     acc = {(key >> top, unpack((key & mask).to_bytes(size, "little"))): v
            for key, v in counts.items() if key >> top <= order}
-    return TruncatedSeries(order, nvars, acc)
+    return TruncatedSeries._of(order, nvars, acc)

@@ -312,6 +312,19 @@ def test_keith_xiong_compares_residue_vectors(monkeypatch):
                                  "flat_colored": 2, "regular_colored": 2, "match": False}
 
 
+@pytest.mark.parametrize("m", (2, 3, 4, 5))
+@pytest.mark.parametrize("predicate", (classic.is_m_flat, classic.is_m_regular))
+def test_classical_residue_counts_sum_to_the_q_only_counts(m, predicate):
+    # the residue branch groups the partitions by residue vector; summed
+    # over the vectors it gives the q-only branch's classic.count
+    def holds(lam):
+        return predicate(lam, m)
+
+    by_residue = characters._classical(12, holds, m)
+    assert by_residue.nvars == m - 1
+    assert by_residue.q_coefficients() == characters._classical(12, holds).q_coefficients()
+
+
 def test_identity_argument_errors():
     with pytest.raises(UsageError):
         verify_named_identity("glaisher", 6)

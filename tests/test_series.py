@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import random
 import re
 from collections import Counter
 
@@ -8,7 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from partition_forge import classic
-from partition_forge.characters import build_config, keith_xiong_setup, siladic_setup
+from partition_forge.characters import (
+    build_config,
+    character_lhs,
+    character_rhs,
+    keith_xiong_setup,
+    siladic_setup,
+)
 from partition_forge.core import (
     ColorSystem,
     EnergyMatrix,
@@ -29,7 +36,7 @@ from partition_forge.series import (
     pochhammer_expand,
 )
 
-from helpers import mixed_energy, strict_energy
+from helpers import mixed_energy, small_energies, strict_energy
 
 
 def q_only(order):
@@ -520,12 +527,21 @@ sparse_pairs = st.tuples(st.integers(0, 3), st.integers(0, 5)).flatmap(
 )
 
 
+def _assert_as_checked(series):
+    # a series built without the constructor's checks equals its checked
+    # rebuild and holds only terms those checks keep
+    assert series == _dict_backed(series)
+    for (d, exps), v in series.coeffs.items():
+        assert 0 <= d <= series.order and len(exps) == series.nvars and v != 0
+
+
 @given(sparse_pairs)
 @settings(max_examples=200, deadline=None)
 def test_mul_matches_its_definition(pair):
     a, b = pair
     want = _product_by_definition(a, b)
     for got in (a * b, b * a):
+        _assert_as_checked(got)
         assert got.coeffs == want
         assert 0 not in got.coeffs.values()
         assert (got.order, got.nvars) == (a.order, a.nvars)
@@ -533,3 +549,42 @@ def test_mul_matches_its_definition(pair):
         scaled = {key: k * v for key, v in a.coeffs.items()}
         assert (a * k).coeffs == scaled and (k * a).coeffs == scaled
     assert (a * 0).coeffs == {} and (0 * a).coeffs == {}
+
+
+def _seeded_pair(seed):
+    # two random series of one shape, with negative exponents, a degree past
+    # the order (which the constructor drops), few keys and unit
+    # coefficients, so sums and products cancel (14 of the 40 products have
+    # a term that cancels)
+    rng = random.Random(seed)
+    order, nvars = rng.randint(1, 4), rng.randint(1, 2)
+    return [TruncatedSeries(order, nvars, {
+        (rng.randint(0, order + 1), tuple(rng.randint(-1, 1) for _ in range(nvars))):
+            rng.choice((-1, 1)) for _ in range(rng.randint(2, 10))}) for _ in range(2)]
+
+
+def _characters():
+    for family, rank in (("A2n2", 2), ("Dn12-L0", 2), ("Dn12-Ln", 2), ("Bn1-Ln", 3)):
+        config = build_config(family, rank)
+        yield from (character_lhs(config, 6, "direct"), character_lhs(config, 6, "transform"),
+                    character_rhs(config, 6))
+
+
+def _catalog_gfs():
+    for colors, energy in small_energies():
+        for tag in ("F1", "R1"):
+            found = walk_members(tag, energy, colors, Budget(5, 5))
+            for order in (3, 5):  # below the budget, members of size 4 and 5 drop out
+                yield gf_from_partitions(found, colors, energy, order)
+
+
+def _ring_results():
+    for seed in range(40):
+        a, b = _seeded_pair(seed)
+        yield from (a + b, a + -a, -a, a * b, a * 0, 3 * a)
+
+
+@pytest.mark.parametrize("results", (_characters, _catalog_gfs, _ring_results))
+def test_unchecked_series_equal_their_checked_rebuild(results):
+    for series in results():
+        _assert_as_checked(series)
