@@ -26,8 +26,8 @@ from typing import NamedTuple
 
 from . import classic
 from .core import ColorSystem, EnergyMatrix, SizeTransform, UsageError
-from .families import Budget, flat_walk, walk_members
-from .series import ProductFactor, TruncatedSeries, gf_from_partitions, pochhammer_expand
+from .families import Budget, _flat_rule, _fold, _rule
+from .series import ProductFactor, TruncatedSeries, _packed_weights, pochhammer_expand
 
 @dataclass(frozen=True)
 class CrystalConfig:
@@ -128,8 +128,11 @@ def character_lhs(config, order, route="direct"):
     exactly when a coefficient up to ``order`` is infinite, and then
     ``UsageError`` is raised.
 
-    The member lists are consumed unsorted: the series sum is order-free and
-    the direct route alone can visit millions of partitions at order ten.
+    No member is built: the walk is folded, each part weighed once per
+    distinct state by ``_packed_weights`` and each kept path's weight counted
+    (the direct route alone has millions of members at order ten).  A
+    member's count of one color is at most the cap, since a primary part has
+    one color and the terminal none, so the cap sets the digit width.
     """
     if route == "direct":
         energy, transform = config.energy_prime, None
@@ -138,10 +141,11 @@ def character_lhs(config, order, route="direct"):
     else:
         raise UsageError("route must be 'direct' or 'transform'")
     cap = (order + 1) * (config.colors.n + 1)
-    flats = flat_walk(energy, config.colors, Budget(order, cap), transform=transform)
-    if max(map(len, flats)) > cap:  # the terminal is not counted by the cap
-        raise UsageError("zero-charge parts repeat, so a coefficient up to q^%d is infinite" % order)
-    return gf_from_partitions(flats, config.colors, energy, order, transform)
+    budget = Budget(order, cap)
+    rule = _flat_rule(energy, config.colors, budget, transform=transform)
+    weigh, read = _packed_weights(config.colors, energy, transform, cap)
+    return read(_fold(rule, budget, weigh, "zero-charge parts repeat, so a coefficient "
+                      "up to q^%d is infinite" % order), order)
 
 
 def character_rhs(config, order):
@@ -211,8 +215,11 @@ def _walk_gf(tag, setup, order):
     """Generating function of one family of an identity's (colors, energy,
     transformation) setup, walked under the transformation up to ``order``."""
     colors, energy, transform = setup
-    found = walk_members(tag, energy, colors, Budget(order), transform=transform)
-    return gf_from_partitions(found, colors, energy, order, transform)
+    budget = Budget(order)
+    rule = _rule(tag, energy, colors, budget, transform=transform)
+    # a part carries at most two colors
+    weigh, read = _packed_weights(colors, energy, transform, 2 * budget.max_parts)
+    return read(_fold(rule, budget, weigh), order)
 
 
 def verify_named_identity(name, order, m=None):

@@ -7,7 +7,7 @@ budget (total size cap, part-count cap, optional color-word filter).
 
 One driver, ``_walk``, does every walk: a depth-first search kept on an
 explicit stack of iterators over successor lists, so no budget can overflow
-the Python stack.  A family supplies only its successor rule:
+the Python stack.  A family supplies only its successor rule, a ``_Rule``:
 ``children(state)`` yields ``(part, next_state, keep)`` for every admissible
 next part, where ``keep`` says whether the path ending in that part is
 emitted.  Paths meet the same state again and again (a flat part's size is
@@ -20,23 +20,37 @@ the driver to the path, and a state's successors do not depend on its
 depth.  The dict holds only the distinct states reached, with their
 successors, whose parts the members share; their number grows polynomially
 in the budget.  A rule that raises partway through a state's successors
-does so on its first visit, before the walk enters any of them.  There are
-two rules:
+does so on its first visit, before the walk enters any of them.
+
+The driver either lists the members or folds them, as its caller chooses
+once per call.  Each successor in a listed row carries a weight: the
+one-part tuple of its part for the member walk (``walk_members``,
+``members``, ``flat_walk``), or for a fold the caller's ``weigh`` of the
+part, computed when the state is first expanded, so each part is weighed
+once per distinct state.  Beside its stack of iterators the walk keeps a
+stack of running sums, and it yields each kept path's sum: the path itself,
+or its weight.  ``_fold`` counts the weights in a Counter, adds the
+terminal's, and builds no member.  ``size_counts`` (so ``count_by_word``,
+``verify-deg2`` and ``deg2.flatreg2_table``) weighs a part by its size;
+``characters.character_lhs`` and the walked columns of the named identities
+by its packed degree and color counts (``series._packed_weights``).  There
+are two rules:
 
 - flat (F1, F2, Fk and both character routes): one rule for every degree
   k.  A flat partition is a grounded sequence of k-letter color words
-  whose sizes the energy forces, so ``flat_walk`` runs right to left,
-  prepending words and building each part as it is reached: primary parts
-  at k = 1, secondary parts for F2, degree-k parts for Fk.  Its rows of
-  words are sorted by charge, so a node checks its row's least size once
-  and stops at the first word over the budget.  Parts of charge zero can
-  repeat without end, and then only the part cap ends the walk:
-  ``characters.character_lhs`` raises when a member reaches its cap;
-- regular (R1, O+, O-, E+, E- and R2): ``_regular`` runs left to right.  A
-  part is a word w with a base b, of size len(w)*b + inner(w), inner(w)
-  the energy inside w.  The words are the non-ground colors for R1 and O,
-  those and the non-ground pairs for E, and every pair but the ground pair
-  for R2.  ``drops[p][q]`` is the least drop in size from a part of word p
+  whose sizes the energy forces, so ``_flat_rule`` runs right to left,
+  prepending words and building each part when its state is first
+  expanded: primary parts at k = 1, secondary parts for F2, degree-k parts
+  for Fk.  Its rows of words are sorted by charge, so a node checks its
+  row's least size once and stops at the first word over the budget.
+  Parts of charge zero can repeat without end, and then only the part cap
+  ends the walk:
+  ``characters.character_lhs`` raises when a kept path reaches its cap;
+- regular (R1, O+, O-, E+, E- and R2): ``_regular_rule`` runs left to
+  right.  A part is a word w with a base b, of size len(w)*b + inner(w),
+  inner(w) the energy inside w.  The words are the non-ground colors for
+  R1 and O, those and the non-ground pairs for E, and every pair but the
+  ground pair for R2.  ``drops[p][q]`` is the least drop in size from a part of word p
   to the next, of word q: eps(c, d) between primary parts (plus one in E),
   eps(c, d) + eps(d, d') from a primary to a secondary part, eps(l, r) +
   eps(r, d) + 1 back, and eps'_2 = eps_2 + 2 delta between secondary parts
@@ -55,12 +69,12 @@ two rules:
   |total size|.
 
 Each walk visits a member once, so no deduplication is needed.
-``walk_members`` returns the members in walk order, for callers that only
-count them.  ``members`` returns the canonical order of ``canonical_key``:
-by length, then the part sizes, then the color sequence, then the
-partition tuple itself.  The last component breaks the ties, which occur
-only in E+ and E-, where primary and secondary parts can group the same
-colors differently (``5a 2ba`` and ``5ab 2a`` on the strict energy).
+``walk_members`` returns the members in walk order.  ``members`` returns
+the canonical order of ``canonical_key``: by length, then the part sizes,
+then the color sequence, then the partition tuple itself.  The last
+component breaks the ties, which occur only in E+ and E-, where primary
+and secondary parts can group the same colors differently (``5a 2ba`` and
+``5ab 2a`` on the strict energy).
 ``canonical_key`` stays the definition of that order; ``members`` sorts on
 the same key, built without a dispatch per part occurrence.  A primary
 part is its own (size, color) pair, so for F1, R1, O+ and O- the sizes and
@@ -74,10 +88,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from itertools import chain, product
 from math import inf
 from operator import itemgetter
+from typing import NamedTuple
 
 from .core import (
     DegreeK,
@@ -91,7 +106,6 @@ from .core import (
     mixed_rel,
     part_color_seq,
     part_size,
-    partition_size,
     secondary_regular_rel,
 )
 
@@ -130,37 +144,56 @@ def canonical_key(pi, energy):
     return (len(pi), sizes, cols, pi)
 
 
-def _walk(children, root, budget):
-    """Every kept path of a depth-first walk from ``root``, as a tuple of parts.
+class _Rule(NamedTuple):
+    """A family's walk under one budget: its successor rule, its root state,
+    its terminal parts, and whether its paths run right to left."""
 
-    The empty path is kept when the budget has no word to spell; no path
-    grows past the part cap.  Each state is expanded once: its successors
-    are listed on the first visit and the list is replayed on every later
-    one, so ``children`` must be a pure function of its state.
+    children: object
+    root: tuple
+    term: tuple
+    leftward: bool
+
+
+def _walk(children, root, budget, weigh=None, at_cap=None):
+    """The sum of every kept path of a depth-first walk from ``root``.
+
+    A path's sum is the tuple of its parts, or given ``weigh``, the sum of
+    ``weigh(part)`` over its parts: a fold, which builds no path.  The empty
+    path, of sum ``()`` or 0, is kept when the budget has no word to spell.
+    No path grows past the part cap; ``at_cap``, if given, receives the sum
+    of each kept path that reaches it.  Each state is expanded once: its
+    successors are listed, each part weighed, on the first visit, and the
+    list is replayed on every later one, so ``children`` must be a pure
+    function of its state, and a part is weighed once per distinct state.
     """
+    zero, weigh = ((), lambda part: (part,)) if weigh is None else (0, weigh)
     if not budget.word:
-        yield ()
+        yield zero
     max_parts = budget.max_parts
-    expanded = {root: list(children(root))}  # state -> its successors
-    path = []
-    stack = [iter(expanded[root])]  # stack[i] yields the successors of path[:i]
+
+    def expand(state):
+        return [(weigh(part), nxt, keep) for part, nxt, keep in children(state)]
+
+    expanded = {root: expand(root)}  # state -> its successors, each part weighed
+    sums = [zero]  # sums[i] is the sum of the path's first i parts
+    stack = [iter(expanded[root])]  # stack[i] yields the successors of that path
     while stack:
-        for part, state, keep in stack[-1]:
-            path.append(part)
+        for weight, state, keep in stack[-1]:
+            total = sums[-1] + weight
             if keep:
-                yield tuple(path)
-            if len(path) < max_parts:
+                yield total
+            if len(stack) < max_parts:
                 row = expanded.get(state)
                 if row is None:
-                    row = expanded[state] = list(children(state))
+                    row = expanded[state] = expand(state)
                 stack.append(iter(row))
-            else:
-                path.pop()
+                sums.append(total)
+            elif keep and at_cap:
+                at_cap(total)
             break
         else:
             stack.pop()
-            if path:
-                path.pop()
+            sums.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +201,19 @@ def _walk(children, root, budget):
 
 
 def flat_walk(energy, colors, budget, degree=1, make=Primary, transform=None):
-    """Every flat grounded partition of degree-k parts under a budget, unsorted.
+    """Every flat grounded partition of degree-k parts under a budget, unsorted
+    (``_flat_rule``)."""
+    return _members(_flat_rule(energy, colors, budget, degree, make, transform), budget)
+
+
+def _flat_rule(energy, colors, budget, degree=1, make=Primary, transform=None):
+    """The flat rule: flat grounded partitions of degree-k parts under a budget.
 
     A part is a word w of k colors with a size.  The energy between words
     x and y is ``head(x) + k*eps(x_k, y_1) + tail(y)``, where head(w) sums
     u*eps(w_u, w_u+1) and tail(w) sums (k-u)*eps(w_u, w_u+1), so a part's
     size is forced by the part to its right.  The part is built once, when
-    the walk reaches it, as ``make(base, *w)`` (``make(base, w)`` for
+    its state is first expanded, as ``make(base, *w)`` (``make(base, w)`` for
     ``DegreeK``) with base ``(size - head(w)) / k``: ``Primary`` at degree
     one, ``Secondary`` at degree two.  It is charged its size, or under a
     ``transform`` the scale times its size plus the shifts of its word.
@@ -262,8 +301,7 @@ def flat_walk(energy, colors, budget, degree=1, make=Primary, transform=None):
             yield (new(make, ((size - head) // k,) + fields), (w0, size + tail, total + charge, ncons),
                    word is None or ncons == wlen)
 
-    term = (make(0, *spread(ground)),)
-    return [pi[::-1] + term for pi in _walk(children, (-1, below, 0, 0), budget)]
+    return _Rule(children, (-1, below, 0, 0), (make(0, *spread(ground)),), True)
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +386,9 @@ def _tail_table(tag, energy, colors, transform, word, max_parts):
     return levels, drops
 
 
-def _regular(tag, energy, colors, budget, transform=None):
-    """Every member of R1, O+, O-, E+, E- or R2 under a budget, in walk
-    order: one walk over part words and their drop table (module docstring)."""
+def _regular_rule(tag, energy, colors, budget, transform=None):
+    """The rule of R1, O+, O-, E+, E- or R2 under a budget: one walk over
+    part words and their drop table (module docstring)."""
     lower = tag in (O_MINUS, E_MINUS)
     if lower and transform is not None:
         raise UsageError("transforms are not supported for half-line-down enumeration")
@@ -393,30 +431,57 @@ def _regular(tag, energy, colors, budget, transform=None):
 
     g = colors.ground
     term = {R1: (Primary(0, g),), R2: (Secondary(0, g, g),)}.get(tag, ())
-    root = (0, inf, 0, max_parts if word is None else len(word))
-    return [pi + term for pi in _walk(children, root, budget)]
+    return _Rule(children, (0, inf, 0, max_parts if word is None else len(word)), term, False)
 
 
 # ---------------------------------------------------------------------------
 # public interface
 
 
-def walk_members(tag, energy, colors, budget, degree=None, transform=None):
-    """Complete list of family members within a budget, in walk order."""
+def _rule(tag, energy, colors, budget, degree=None, transform=None):
+    """The ``_Rule`` of one family under a budget, raising UsageError for a
+    family that cannot be walked so."""
     if tag in (F1, R1, F2, R2, FK):
         ground_delta(energy, colors)  # grounded families need ground compatibility
     if tag == F1:
-        return flat_walk(energy, colors, budget, transform=transform)
+        return _flat_rule(energy, colors, budget, transform=transform)
     if tag == F2:
-        return flat_walk(energy, colors, budget, 2, Secondary, transform)
+        return _flat_rule(energy, colors, budget, 2, Secondary, transform)
     if tag == FK:
         require_degree(degree)
         if transform is not None:
             raise UsageError("transforms are not supported for degree-k enumeration")
-        return flat_walk(energy, colors, budget, degree, DegreeK)
+        return _flat_rule(energy, colors, budget, degree, DegreeK)
     if tag in (R1, R2, O_PLUS, O_MINUS, E_PLUS, E_MINUS):
-        return _regular(tag, energy, colors, budget, transform)
+        return _regular_rule(tag, energy, colors, budget, transform)
     raise UsageError("unknown family tag %r" % (tag,))
+
+
+def _members(rule, budget):
+    """The members of one rule's walk, in walk order: each kept path, read
+    left to right, then the terminal."""
+    paths = _walk(rule.children, rule.root, budget)
+    if rule.leftward:
+        return [pi[::-1] + rule.term for pi in paths]
+    return [pi + rule.term for pi in paths]
+
+
+def _fold(rule, budget, weigh, capped=None):
+    """Counter of the weights of the members of one rule's walk, a member's
+    weight the sum of ``weigh`` over its parts, from ``_walk``'s fold.
+    Given ``capped``, UsageError(capped) is raised after the walk if a kept
+    path reached the part cap; the terminal is weighed after that."""
+    deep = []
+    sums = Counter(_walk(rule.children, rule.root, budget, weigh, deep.append))
+    if capped and deep:
+        raise UsageError(capped)
+    shift = sum(map(weigh, rule.term))
+    return Counter({total + shift: n for total, n in sums.items()}) if shift else sums
+
+
+def walk_members(tag, energy, colors, budget, degree=None, transform=None):
+    """Complete list of family members within a budget, in walk order."""
+    return _members(_rule(tag, energy, colors, budget, degree, transform), budget)
 
 
 def _primary_key(pi):
@@ -441,11 +506,13 @@ def members(tag, energy, colors, budget, degree=None, transform=None):
 
 def size_counts(tag, energy, colors, word, max_size, degree=None):
     """Counter of the sizes of the family members with the given non-ground
-    word, from one walk under ``Budget(max_size, word=word)`` and its default
-    part cap.  A Counter, since O- and E- sizes can be negative.
+    word, from one fold of the walk under ``Budget(max_size, word=word)`` and
+    its default part cap, each part weighed by its size.  A Counter, since O-
+    and E- sizes can be negative.
     """
-    found = walk_members(tag, energy, colors, Budget(max_size, word=tuple(word)), degree=degree)
-    return Counter(partition_size(pi, energy) for pi in found)
+    budget = Budget(max_size, word=tuple(word))
+    rule = _rule(tag, energy, colors, budget, degree)
+    return _fold(rule, budget, partial(part_size, energy=energy))
 
 
 def count_by_word(tag, energy, colors, word, n, degree=None):

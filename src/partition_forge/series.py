@@ -5,10 +5,12 @@ at a fixed q-order; color exponents are unbounded and may be negative while
 a substitution is in flight, but stored q-degrees are always in [0, order].
 
 This module is also the boundary where color words stop being words:
-``gf_from_partitions`` weighs each part by its size (or transformed degree)
-and its non-ground colors, and from then on the colors commute.  It weighs
-each distinct part once, as one packed int (the degree above the
-color-count digits), so a partition's weight is the sum of its parts'.
+``_packed_weights`` weighs a part by its size (or transformed degree) and
+its non-ground colors as one packed int (the degree above the color-count
+digits), so a partition's weight is the sum of its parts', and from then on
+the colors commute.  ``gf_from_partitions`` weighs each distinct part of a
+member list once; ``characters`` weighs the parts of a folded walk
+(``families._fold``) and reads the sums back the same way.
 
 ``pochhammer_expand`` does not build a series per factor.  It keeps the
 running product as rows by q-degree, and keys each row by one packed int per
@@ -379,30 +381,66 @@ def gf_from_partitions(partitions, colors, energy, order, transform=None):
     d sums the part sizes, or under a transformation each part's
     ``part_degree``; e counts the parts' non-ground colors, one variable per
     color of ``colors.non_ground`` (the ground contributes nothing).  Each
-    distinct part is weighed once, in order of first occurrence, as the
-    packed int ``(degree << top) + sum(1 << width * var(c))``, and only the
-    distinct sums are unpacked, by ``_digits``.  A digit holds any
-    partition's count of one color, the longest partition times the most
-    colors of a part, with a sign bit to spare: the counts are never
-    negative, so the unpacking needs no bias.  A part of negative degree
-    raises UsageError.
+    distinct part is weighed once, in order of first occurrence, by
+    ``_packed_weights``, so a partition's weight is the sum of its parts'.
+    A digit holds any partition's count of one color: the longest partition
+    times the most colors of a part.
+    """
+    parts = dict.fromkeys(chain.from_iterable(partitions))
+    widest = max(map(len, map(part_color_seq, parts)), default=0)
+    weigh, read = _packed_weights(colors, energy, transform,
+                                 max(map(len, partitions), default=0) * widest)
+    weight = {p: weigh(p) for p in parts}
+    return read(Counter(map(sum, map(partial(map, weight.__getitem__), partitions))), order)
+
+
+class _Negative:
+    """The weight of a part of negative degree, and of every sum with it: a
+    sum keeps the first such part it meets, so that part is reported."""
+
+    __slots__ = ("part",)
+
+    def __init__(self, part):
+        self.part = part
+
+    def __add__(self, other):
+        return self
+
+    __radd__ = __add__
+
+
+def _packed_weights(colors, energy, transform, most):
+    """``(weigh, read)``: the packed weight of one part, and the series of a
+    Counter of sums of such weights.
+
+    ``weigh(part)`` is the int ``(degree << top) + sum(1 << width * var(c))``
+    over the part's non-ground colors c, its degree its size or under a
+    transformation its ``part_degree``.  A digit is wide enough for a count
+    of ``most``, with a sign bit to spare: the counts are never negative, so
+    the unpacking needs no bias.  ``read(counts, order)`` unpacks only the
+    distinct sums, by ``_digits``, each to ``q^d x^e`` with its count, and
+    drops those past ``order``.  A part of negative degree weighs a
+    ``_Negative``, so ``read`` raises UsageError naming the first such part
+    of the first sum that holds one: only the parts of a sum are checked.
     """
     var = {c: i for i, c in enumerate(colors.non_ground)}
     nvars = len(var)
-    parts = {}  # part -> (degree, colors)
-    for p in dict.fromkeys(chain.from_iterable(partitions)):
-        pd = part_size(p, energy) if transform is None else transform.part_degree(p, energy)
-        if pd < 0:
-            raise UsageError("negative transformed degree for part %r" % (p,))
-        parts[p] = pd, part_color_seq(p)
-    widest = max((len(cs) for _, cs in parts.values()), default=0)
-    most = max(map(len, partitions), default=0) * widest
     width, _, size, unpack = _digits(most.bit_length() + 1, nvars)
     top = width * nvars
-    weight = {p: (pd << top) + sum(1 << width * var[c] for c in cs if c in var)
-              for p, (pd, cs) in parts.items()}
-    counts = Counter(map(sum, map(partial(map, weight.__getitem__), partitions)))
     mask = (1 << top) - 1
-    acc = {(key >> top, unpack((key & mask).to_bytes(size, "little"))): v
-           for key, v in counts.items() if key >> top <= order}
-    return TruncatedSeries._of(order, nvars, acc)
+
+    def weigh(p):
+        pd = part_size(p, energy) if transform is None else transform.part_degree(p, energy)
+        if pd < 0:
+            return _Negative(p)
+        return (pd << top) + sum(1 << width * var[c] for c in part_color_seq(p) if c in var)
+
+    def read(counts, order):
+        for key in counts:
+            if type(key) is _Negative:
+                raise UsageError("negative transformed degree for part %r" % (key.part,))
+        return TruncatedSeries._of(order, nvars, {
+            (key >> top, unpack((key & mask).to_bytes(size, "little"))): v
+            for key, v in counts.items() if key >> top <= order})
+
+    return weigh, read

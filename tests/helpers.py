@@ -69,6 +69,14 @@ def rejects(check, *args):
     return False
 
 
+def outcome(call, *args):
+    """What ``call(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return call(*args)
+    except Exception as error:
+        return type(error), str(error)
+
+
 # ---------------------------------------------------------------------------
 # Hypothesis strategies on random minimal ground-compatible energies, past
 # the exhaustive catalog; the ground is the last color

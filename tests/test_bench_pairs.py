@@ -45,3 +45,21 @@ def test_the_bound_and_runs_without_a_result():
     pairs.append({"parent": {"error": "TimeoutExpired"}, "change": {"wall_s": 0.5}})
     assert bench_pairs.summarize(pairs, "wall_s")["pairs"] == 3
     assert bench_pairs.summarize(pairs[2:], "wall_s") is None
+
+
+def test_the_traced_summary_gives_every_measured_layer_its_quartiles():
+    # five traced pairs: a layer that fell, one that rose where higher is
+    # better, one zero in every run (left out), and a run with no result
+    assert bench_pairs.TRACED_PAIRS == 5
+    pairs = [{"parent": {"lhs.s": 0.10 + i / 100, "yield": 0.5, "idle.s": 0.0},
+              "change": {"lhs.s": 0.05 + i / 100, "yield": 0.6, "idle.s": 0.0}}
+             for i in range(4)]
+    pairs.append({"parent": {"error": "TimeoutExpired"}, "change": {"lhs.s": 0.01}})
+    summaries = bench_pairs.summarize_layers(pairs, {"yield": "higher"})
+    assert list(summaries) == ["lhs.s", "yield"]
+    lhs = summaries["lhs.s"]
+    assert lhs["pairs"] == 4 and lhs["wins"] == {"parent": 0, "change": 4}
+    assert lhs["parent"]["median"] == 0.115 and lhs["change"]["median"] == 0.065
+    assert lhs["parent"]["q1"] < lhs["parent"]["median"] < lhs["parent"]["q3"]
+    assert summaries["yield"]["wins"] == {"parent": 0, "change": 4}
+    assert summaries["yield"]["gain"]

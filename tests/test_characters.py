@@ -1,9 +1,11 @@
 import hashlib
+import tracemalloc
+from collections import Counter
 from itertools import product
 
 import pytest
 
-from partition_forge import characters, classic
+from partition_forge import characters, classic, series
 from partition_forge.core import (
     SizeTransform,
     UsageError,
@@ -12,6 +14,7 @@ from partition_forge.core import (
     validate_energy,
 )
 from partition_forge.characters import (
+    CHARACTER_FAMILIES,
     CrystalConfig,
     build_config,
     character_lhs,
@@ -23,9 +26,15 @@ from partition_forge.characters import (
     verify_named_identity,
 )
 from partition_forge.families import Budget, flat_walk, walk_members
-from partition_forge.series import PackedRows, ProductFactor, TruncatedSeries, pochhammer_expand
+from partition_forge.series import (
+    PackedRows,
+    ProductFactor,
+    TruncatedSeries,
+    gf_from_partitions,
+    pochhammer_expand,
+)
 
-from helpers import small_energies
+from helpers import outcome, small_energies
 
 
 def test_a_type_config():
@@ -378,6 +387,77 @@ def test_character_lhs_raises_exactly_when_a_coefficient_is_infinite():
             assert infinite == (max(map(len, deep)) > 10), (energy, transform)
             raised += infinite
     assert raised == 400
+
+
+def _character_lhs_of_members(config, order, route):
+    """``character_lhs`` from the member list: every flat member walked and
+    held, its length checked, then summed by ``gf_from_partitions``."""
+    direct = route == "direct"
+    energy = config.energy_prime if direct else config.energy
+    transform = None if direct else config.transform
+    cap = (order + 1) * (config.colors.n + 1)
+    flats = flat_walk(energy, config.colors, Budget(order, cap), transform=transform)
+    if max(map(len, flats)) > cap:  # the terminal is not counted by the cap
+        raise UsageError("zero-charge parts repeat, so a coefficient up to q^%d is infinite"
+                         % order)
+    return gf_from_partitions(flats, config.colors, energy, order, transform)
+
+
+def test_character_fold_is_the_member_sum():
+    # both routes of every family at ranks 2 and 3 (B from 3), orders 0-6
+    cases = 0
+    for family in CHARACTER_FAMILIES:
+        for rank in (2, 3):
+            if (family, rank) == ("Bn1-Ln", 2):
+                continue
+            config = build_config(family, rank)
+            for order, route in product(range(7), ("direct", "transform")):
+                assert character_lhs(config, order, route) == _character_lhs_of_members(
+                    config, order, route), (family, rank, order, route)
+                cases += 1
+    assert cases == 7 * 7 * 2
+
+
+def test_character_fold_raises_as_the_member_sum():
+    # the catalog sweep of the test above, on both routes: the same series
+    # or the same error, a zero-charge cycle before a negative terminal
+    outcomes = Counter()
+    for colors, energy in small_energies():
+        for scale, shifts in product((1, 2), product((-2, -1, 0), repeat=colors.n)):
+            config = CrystalConfig("catalog", 1, colors, energy, energy,
+                                   SizeTransform(scale, shifts), ())
+            for route in ("direct", "transform"):
+                folded = outcome(character_lhs, config, 1, route)
+                assert folded == outcome(_character_lhs_of_members, config, 1, route), (
+                    energy, shifts, route)
+                outcomes[folded[1].split(" ")[0] if isinstance(folded, tuple) else "series"] += 1
+    assert set(outcomes) == {"series", "zero-charge", "negative"}, outcomes
+
+
+def test_character_digit_width_comes_from_the_part_cap():
+    # A2n2 at rank 2 has five colors, so the cap is 126 at order 20 and 132
+    # at order 21: a color count takes a byte, then two; the members are
+    # far shorter, so gf_from_partitions packs both orders in bytes
+    config = build_config("A2n2", 2)
+    for order, width in ((20, 8), (21, 16)):
+        cap = (order + 1) * (config.colors.n + 1)
+        assert series._digits(cap.bit_length() + 1, 4)[0] == width
+        for route in ("direct", "transform"):
+            assert character_lhs(config, order, route) == _character_lhs_of_members(
+                config, order, route), (order, route)
+
+
+def test_character_lhs_holds_no_member_list():
+    # Bn1-Ln at rank 3 and order 8 has 111,456 direct members: held in a
+    # list and summed, they peak near 15 MB
+    config = build_config("Bn1-Ln", 3)
+    tracemalloc.start()
+    try:
+        character_lhs(config, 8, "direct")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, peak
 
 
 @pytest.mark.parametrize("setup,tags", (

@@ -1,6 +1,6 @@
 from collections import Counter
 from functools import partial
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
@@ -33,7 +33,7 @@ from partition_forge.families import (
     walk_members,
 )
 
-from helpers import mixed_energy, rejects, small_energies, strict_energy, w
+from helpers import mixed_energy, outcome, rejects, small_energies, strict_energy, w
 
 GROUNDED_TAGS = ("F1", "R1", "F2", "R2")
 ALL_TAGS = GROUNDED_TAGS + ("O+", "O-", "E+", "E-")
@@ -609,21 +609,26 @@ def test_r1_needing_a_negative_part_raises_usage_error():
 
 
 def _recording_walk(generated):
-    """A stand-in for ``families._walk`` that keeps every child generated."""
+    """A stand-in for ``families._walk`` that keeps every child generated:
+    the plain recursive walk, which runs ``children`` afresh on every visit
+    and, given ``weigh``, weighs each part on every visit as the plain fold."""
 
-    def walk(children, root, budget):
-        found = [] if budget.word else [()]
+    def walk(children, root, budget, weigh=None, at_cap=None):
+        found = [] if budget.word else [() if weigh is None else 0]
 
-        def visit(path, state):
+        def visit(path, total, state):
             for part, child_state, keep in children(state):
                 child = path + (part,)
                 generated.append(child)
+                child_total = child if weigh is None else total + weigh(part)
                 if keep:
-                    found.append(child)
+                    found.append(child_total)
                 if len(child) < budget.max_parts:
-                    visit(child, child_state)
+                    visit(child, child_total, child_state)
+                elif keep and at_cap:
+                    at_cap(child_total)
 
-        visit((), root)
+        visit((), 0, root)
         return found
 
     return walk
@@ -656,8 +661,8 @@ def _walks_of(monkeypatch, walk, call):
 
     walks = []
 
-    def recorded(children, root, budget):
-        walks.append(list(walk(children, root, budget)))
+    def recorded(children, root, budget, *fold):
+        walks.append(list(walk(children, root, budget, *fold)))
         return walks[-1]
 
     with monkeypatch.context() as patch:
@@ -708,28 +713,93 @@ def test_walk_is_the_plain_walk_on_size_counts(monkeypatch):
     _assert_walk_is_the_plain_walk(monkeypatch, calls)
 
 
-def test_walk_is_the_plain_walk_where_the_rules_raise(monkeypatch):
+def _raising_cases():
+    """Walks that raise partway, as (tag, colors, energy, budget, transform):
+    a negative size past the row's break, a negative part, and a negative
+    transformed degree; the first case, a smaller budget, does not raise.
+    Tag None is ``flat_walk``'s rule, which skips the ground check of F1."""
     from partition_forge.core import ColorSystem
 
-    # a negative size past the row's break, a negative part, and a negative
-    # transformed degree, each raised partway through a walk
     colors = ColorSystem(("a", "g"), 1)
     energy = EnergyMatrix(((-1, 1), (2, 0)))
-    calls = [partial(flat_walk, energy, colors, Budget(max_size, 10),
-                     transform=SizeTransform(1, (5, 0))) for max_size in (10, 11, 12)]
+    for max_size in (10, 11, 12):
+        yield None, colors, energy, Budget(max_size, 10), SizeTransform(1, (5, 0))
     colors = ColorSystem(("a", "b", "g"), 2)
     energy = EnergyMatrix(((0, -1, 1), (-1, 0, 1), (0, 0, 0)))
-    calls += [partial(walk_members, tag, energy, colors, budget)
-              for tag, budget in (("F1", Budget(4, 3)), ("R1", Budget(4, 3)),
-                                  ("R1", Budget(0, 10**6)))]
+    for tag, budget in (("F1", Budget(4, 3)), ("R1", Budget(4, 3)), ("R1", Budget(0, 10**6))):
+        yield tag, colors, energy, budget, None
     colors, energy = strict_energy()
-    calls += [partial(walk_members, tag, energy, colors, Budget(6, 7),
-                      transform=SizeTransform(1, (-2, 0, 0)))
-              for tag in ("F1", "F2", "R1", "O+", "E+")]
+    for tag in ("F1", "F2", "R1", "O+", "E+"):
+        yield tag, colors, energy, Budget(6, 7), SizeTransform(1, (-2, 0, 0))
+
+
+def _walked(tag, colors, energy, budget, degree=None, transform=None):
+    """The members of a family, or with tag None of ``flat_walk``, in walk order."""
+    if tag is None:
+        return flat_walk(energy, colors, budget, transform=transform)
+    return walk_members(tag, energy, colors, budget, degree=degree, transform=transform)
+
+
+def test_walk_is_the_plain_walk_where_the_rules_raise(monkeypatch):
+    calls = [partial(_walked, tag, colors, energy, budget, transform=transform)
+             for tag, colors, energy, budget, transform in _raising_cases()]
     for call in calls[1:]:
         with pytest.raises(UsageError, match="negative"):
             call()
     _assert_walk_is_the_plain_walk(monkeypatch, calls)
+
+
+def _assert_fold_is_the_member_walk(tag, colors, energy, budget, degree=None, transform=None):
+    # the walk folded with packed weights gives gf_from_partitions over the
+    # members, and folded with part sizes the Counter of the members' sizes,
+    # or both sides raise the same error
+    from partition_forge import families
+    from partition_forge.core import part_size
+    from partition_forge.series import _packed_weights, gf_from_partitions
+
+    def fold(weigh):
+        if tag is None:
+            rule = families._flat_rule(energy, colors, budget, transform=transform)
+        else:
+            rule = families._rule(tag, energy, colors, budget, degree, transform)
+        return families._fold(rule, budget, weigh)
+
+    def sizes(found):
+        size = {p: part_size(p, energy) for p in set(chain.from_iterable(found))}.__getitem__
+        return Counter(sum(map(size, pi)) for pi in found)
+
+    order = budget.max_size
+    # a digit holds the part cap's count of a part's colors, degree k or two
+    weigh, read = _packed_weights(colors, energy, transform, budget.max_parts * (degree or 2))
+    found = outcome(_walked, tag, colors, energy, budget, degree, transform)
+    if isinstance(found, list):
+        summed = outcome(gf_from_partitions, found, colors, energy, order, transform)
+        counted = sizes(found)
+    else:
+        summed = counted = found
+    case = tag, degree, energy, budget, transform
+    assert outcome(lambda: read(fold(weigh), order)) == summed, case
+    assert outcome(fold, partial(part_size, energy=energy)) == counted, case
+
+
+def test_fold_is_the_member_walk_on_the_canonical_cases():
+    for tag, degree, colors, energy, budget in _canonical_cases():
+        _assert_fold_is_the_member_walk(tag, colors, energy, budget, degree)
+
+
+def test_fold_is_the_member_walk_where_the_rules_raise():
+    for tag, colors, energy, budget, transform in _raising_cases():
+        _assert_fold_is_the_member_walk(tag, colors, energy, budget, transform=transform)
+
+
+def test_size_counts_is_the_member_walk():
+    # both shipped energies, every {a, b} word of length 0 to 3, sizes 6 and 15
+    for colors, energy in (strict_energy(), mixed_energy()):
+        words = [w(colors, "".join(t)) for n in range(4) for t in product("ab", repeat=n)]
+        for word, size, (tag, degree) in product(words, (6, 15), TAG_DEGREES):
+            found = walk_members(tag, energy, colors, Budget(size, word=word), degree=degree)
+            assert size_counts(tag, energy, colors, word, size, degree) == Counter(
+                partition_size(pi, energy) for pi in found), (tag, degree, word, size)
 
 
 def _expansions(monkeypatch, walk, call):
@@ -739,14 +809,14 @@ def _expansions(monkeypatch, walk, call):
 
     counts = []
 
-    def counting(children, root, budget):
+    def counting(children, root, budget, *fold):
         counts.append(Counter())
 
         def counted(state, seen=counts[-1]):
             seen[state] += 1
             return children(state)
 
-        return walk(counted, root, budget)
+        return walk(counted, root, budget, *fold)
 
     with monkeypatch.context() as patch:
         patch.setattr(families, "_walk", counting)

@@ -148,6 +148,12 @@ def test_negative_transformed_degree_rejected():
     flats = members("R1", energy, colors, Budget(4, 3))
     with pytest.raises(UsageError):
         gf_from_partitions(flats, colors, energy, 4, transform=bad)
+    # the error names the first part of negative degree, in order of
+    # occurrence, even when a later partition has a sum of degree >= 0
+    x, g = 0, 1
+    parts = [(Primary(3, x), Primary(0, g)), (Primary(9, x), Primary(-1, x), Primary(-2, x))]
+    with pytest.raises(UsageError, match=re.escape("part Primary(size=-1, color=0)")):
+        gf_from_partitions(parts, colors, energy, 20)
 
 
 @pytest.mark.parametrize("setup,tags,order", [

@@ -18,9 +18,10 @@ pairs each side won (parent:change; ties count for neither), the median change w
 base, whether that change stays within the metric's bound, and whether a gain
 may be claimed: the change wins at least nine tenths of the pairs and the
 medians differ by more than the parent's interquartile range.  ``--traced``
-adds one traced run (``--trace 1``) per side of a workload, on the seed after
-the last pair's.  ``--out`` writes every run and summary as JSON, in the
-layout of ``BENCH_16.json``.
+adds five alternating pairs of traced runs (``--trace 1``) of a workload, on
+the seeds after the last pair's, and prints each layer's median and
+quartiles per side in the same way.  ``--out`` writes every run and summary
+as JSON, in the layout of ``BENCH_16.json``.
 
 Stdlib only.  Git is only read (``git archive``, ``rev-parse``, ``ls-files``
 and ``status`` without optional locks); the copies and the benchmark's own
@@ -46,6 +47,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 COMMAND = "python3 perfbench/run.py --workload %s --seed %s --seconds %g --trace %d"
+TRACED_PAIRS = 5  # pairs of traced runs per --traced workload
 
 
 def git(*args):
@@ -93,6 +95,15 @@ def run(tree, workload, seed, seconds, trace):
     return record
 
 
+def run_pair(trees, workload, seed, i, seconds, trace):
+    """Pair i of runs on ``seed``, both sides, the parent first when i is even."""
+    first = SIDES[i % 2]
+    pair = {"seed": seed, "first": first}
+    for side in (first, SIDES[1 - i % 2]):
+        pair[side] = run(trees[side], workload, seed, seconds, trace)
+    return pair
+
+
 def quartiles(values):
     q1, median, q3 = statistics.quantiles(values, n=4)
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
@@ -118,30 +129,40 @@ def summarize(pairs, metric, better="lower"):
     return out
 
 
+def summarize_layers(pairs, better):
+    """``summarize`` of every metric that a run of the pairs measured
+    nonzero, in the order first met; ``better`` maps a name to "lower" or
+    "higher", and a name it lacks is lower-better."""
+    names = dict.fromkeys(name for p in pairs for side in SIDES
+                          for name, value in p[side].items()
+                          if value and isinstance(value, (int, float)))
+    return {name: summarize(pairs, name, better.get(name, "lower")) for name in names}
+
+
 def within_bound(summary, bound, better="lower"):
     """Whether the change's median is no worse than the parent's by more than ``bound``."""
     frac = summary["median_change_frac"]
     return frac is None or (frac if better == "lower" else -frac) <= bound
 
 
-def report(workload, summaries, bounds, failed):
-    print("== %s   failed checks: parent %d, change %d" % (
-        workload, failed["parent"], failed["change"]))
-    print("%-16s %-32s %-32s %-6s %8s %6s %5s" % (
-        "metric", "parent median [q1-q3]", "change median [q1-q3]", "wins", "change",
-        "bound", "gain"))
+def report(title, summaries, bounds=None, name="metric", wide=16):
+    """A table of summaries, with the bound and gain verdicts when ``bounds`` is given."""
+    print("== " + title)
+    print("%-*s %-32s %-32s %-6s %8s" % (
+        wide, name, "parent median [q1-q3]", "change median [q1-q3]", "wins", "change")
+        + (" %6s %5s" % ("bound", "gain") if bounds else ""))
     for metric, s in summaries.items():
         if s is None:
-            print("%-16s fewer than two pairs measured it" % metric)
+            print("%-*s fewer than two pairs measured it" % (wide, metric))
             continue
         sides = ["%.5g [%.5g-%.5g]" % (s[side]["median"], s[side]["q1"], s[side]["q3"])
                  for side in SIDES]
         frac = s["median_change_frac"]
-        print("%-16s %-32s %-32s %-6s %+7.1f%% %6s %5s" % (
-            metric, *sides, "%d:%d" % (s["wins"]["parent"], s["wins"]["change"]),
-            100 * frac if frac is not None else math.nan,
-            "ok" if within_bound(s, bounds[metric][0], bounds[metric][1]) else "OVER",
-            "yes" if s["gain"] else "no"), flush=True)
+        print("%-*s %-32s %-32s %-6s %+7.1f%%" % (
+            wide, metric, *sides, "%d:%d" % (s["wins"]["parent"], s["wins"]["change"]),
+            100 * frac if frac is not None else math.nan) + (" %6s %5s" % (
+                "ok" if within_bound(s, bounds[metric][0], bounds[metric][1]) else "OVER",
+                "yes" if s["gain"] else "no") if bounds else ""), flush=True)
 
 
 def parse_args(argv):
@@ -153,7 +174,7 @@ def parse_args(argv):
     parser.add_argument("--workload", action="append",
                         help="a workload to run (repeatable; default: every one)")
     parser.add_argument("--traced", action="append", default=[],
-                        help="a workload to run once traced per side (repeatable)")
+                        help="a workload to run traced in %d pairs (repeatable)" % TRACED_PAIRS)
     parser.add_argument("--claim", help="workload:metric of the claimed gain, for --out")
     parser.add_argument("--title", default="", help="title of the --out record")
     parser.add_argument("--out", type=Path, help="write the runs and summaries as JSON")
@@ -198,10 +219,7 @@ def main(argv=None):
         runs = {w: [] for w in workloads}
         for i, seed in enumerate(seeds):
             for workload in workloads:
-                first = SIDES[i % 2]
-                pair = {"seed": seed, "first": first}
-                for side in (first, SIDES[1 - i % 2]):
-                    pair[side] = run(trees[side], workload, seed, args.seconds, 0)
+                pair = run_pair(trees, workload, seed, i, args.seconds, 0)
                 runs[workload].append(pair)
                 print("pair %d/%d %s %s" % (i + 1, args.pairs, workload, json.dumps(pair)),
                       flush=True)
@@ -209,24 +227,26 @@ def main(argv=None):
         for workload, pairs in runs.items():
             summaries = {m: summarize(pairs, m, bounds[m][1]) for m in bounds}
             failed = {side: sum(p[side].get("checks_failed", 1) for p in pairs) for side in SIDES}
-            report(workload, summaries, bounds, failed)
+            report("%s   failed checks: parent %d, change %d" % (
+                workload, failed["parent"], failed["change"]), summaries, bounds)
             record["workloads"][workload] = {"seeds": seeds, "pairs": pairs,
                                              "summary": summaries, "checks_failed": failed}
-        trace_seed = seeds[-1] + 1
+        better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+        trace_seeds = [seeds[-1] + 1 + i for i in range(TRACED_PAIRS)]
         for workload in args.traced:
-            layers = {side: run(trees[side], workload, trace_seed, args.seconds, 1)
-                      for side in SIDES}
-            shown = [name for name in layers["parent"] if any(
-                layers[side].get(name) for side in SIDES)]
+            pairs = []
+            for i, seed in enumerate(trace_seeds):
+                pairs.append(run_pair(trees, workload, seed, i, args.seconds, 1))
+                print("traced pair %d/%d %s" % (i + 1, TRACED_PAIRS, workload), flush=True)
+            summaries = summarize_layers(pairs, better)
+            report("traced " + workload, summaries, name="layer", wide=44)
             record["traced_" + workload] = {
-                "command": COMMAND % (workload, trace_seed, args.seconds, 1),
-                "note": "per-layer values are the traced run's last-line metrics, unscaled, "
-                        "those zero on both sides left out; the parent ran first",
-                "per_layer": {side: {name: layers[side].get(name) for name in shown}
-                              for side in SIDES},
+                "command": COMMAND % (workload, "N", args.seconds, 1),
+                "note": "per-layer values are the traced runs' last-line metrics, unscaled, in "
+                        "alternating pairs (pair i runs the parent first when i is even); the "
+                        "summary covers every metric nonzero in some run",
+                "seeds": trace_seeds, "pairs": pairs, "summary": summaries,
             }
-            print("traced %s %s" % (workload, json.dumps(record["traced_" + workload])),
-                  flush=True)
     if args.claim:
         workload, metric = args.claim.split(":")
         s = record["workloads"][workload]["summary"][metric]
