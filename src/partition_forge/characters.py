@@ -128,11 +128,9 @@ def character_lhs(config, order, route="direct"):
     exactly when a coefficient up to ``order`` is infinite, and then
     ``UsageError`` is raised.
 
-    No member is built: the walk is folded, each part weighed once per
-    distinct state by ``_packed_weights`` and each kept path's weight counted
-    (the direct route alone has millions of members at order ten).  A
-    member's count of one color is at most the cap, since a primary part has
-    one color and the terminal none, so the cap sets the digit width.
+    No member is built (the direct route alone has millions of members at
+    order ten): ``_walk_gf`` folds the walk.  A primary part carries one
+    color and the terminal none.
     """
     if route == "direct":
         energy, transform = config.energy_prime, None
@@ -140,12 +138,10 @@ def character_lhs(config, order, route="direct"):
         energy, transform = config.energy, config.transform
     else:
         raise UsageError("route must be 'direct' or 'transform'")
-    cap = (order + 1) * (config.colors.n + 1)
-    budget = Budget(order, cap)
+    budget = Budget(order, (order + 1) * (config.colors.n + 1))
     rule = _flat_rule(energy, config.colors, budget, transform=transform)
-    weigh, read = _packed_weights(config.colors, energy, transform, cap)
-    return read(_fold(rule, budget, weigh, "zero-charge parts repeat, so a coefficient "
-                      "up to q^%d is infinite" % order), order)
+    return _walk_gf(rule, budget, (config.colors, energy, transform), 1,
+                    "zero-charge parts repeat, so a coefficient up to q^%d is infinite" % order)
 
 
 def character_rhs(config, order):
@@ -211,15 +207,16 @@ def siladic_setup():
     return colors, _chain_energy(colors), SizeTransform(4, (-3, -1, 0))
 
 
-def _walk_gf(tag, setup, order):
-    """Generating function of one family of an identity's (colors, energy,
-    transformation) setup, walked under the transformation up to ``order``."""
+def _walk_gf(rule, budget, setup, per_part, capped=None):
+    """Generating function of one rule's walk on a (colors, energy,
+    transformation) setup, up to the budget's size: the walk folded
+    (``families._fold``, given ``capped``), each part weighed once per
+    distinct state by ``_packed_weights``.  A member's count of one color is
+    at most the part cap times ``per_part``, the most colors one part
+    carries, and that sets the digit width."""
     colors, energy, transform = setup
-    budget = Budget(order)
-    rule = _rule(tag, energy, colors, budget, transform=transform)
-    # a part carries at most two colors
-    weigh, read = _packed_weights(colors, energy, transform, 2 * budget.max_parts)
-    return read(_fold(rule, budget, weigh), order)
+    weigh, read = _packed_weights(colors, energy, transform, per_part * budget.max_parts)
+    return read(_fold(rule, budget, weigh, capped), budget.max_size)
 
 
 def verify_named_identity(name, order, m=None):
@@ -234,14 +231,17 @@ def verify_named_identity(name, order, m=None):
     if takes_m and (m is None or m < 2):
         raise UsageError("this identity needs a modulus m >= 2")
     columns = columns_at(order, m)
-    slices = {label: _by_degree(series) for label, series in columns.items()}
-    colored = [slices[label] for label, series in columns.items() if series.nvars]
+    counts = {label: series.q_coefficients() for label, series in columns.items()}
+    colored = [series for series in columns.values() if series.nvars]
+    # the degrees at which a colored column differs from the first
+    differ = {d for series in colored[1:] for d, _ in (series - colored[0]).coeffs}
+    vectors = Counter(d for d, _ in columns["flat"].coeffs) if name == "keith_xiong" else None
     rows = []
     for n in range(order + 1):
-        vectors = {"vectors": len(slices["flat"][n])} if name == "keith_xiong" else {}
-        counts = {label: sum(by_degree[n].values()) for label, by_degree in slices.items()}
-        match = len(set(counts.values())) == 1 and all(s[n] == colored[0][n] for s in colored)
-        rows.append({"n": n, **vectors, **counts, "match": match})
+        row = {label: by_degree[n] for label, by_degree in counts.items()}
+        extra = {} if vectors is None else {"vectors": vectors[n]}
+        match = len(set(row.values())) == 1 and n not in differ
+        rows.append({"n": n, **extra, **row, "match": match})
     return {
         "identity": name,
         "m": m,
@@ -252,8 +252,14 @@ def verify_named_identity(name, order, m=None):
 
 
 def _walked(setup, order, **tags):
-    """``{label: series}`` of the families ``tags`` names, walked on one setup."""
-    return {label: _walk_gf(tag, setup, order) for label, tag in tags.items()}
+    """``{label: series}`` of the families ``tags`` names, walked on one setup
+    under its transformation up to ``order``; a part carries at most two
+    colors."""
+    colors, energy, transform = setup
+    budget = Budget(order)
+    return {label: _walk_gf(_rule(tag, energy, colors, budget, transform=transform), budget,
+                            setup, 2)
+            for label, tag in tags.items()}
 
 
 def _glaisher_product(m, order):
@@ -273,14 +279,6 @@ def _classical(order, predicate, m=None):
     return TruncatedSeries(order, m - 1, Counter(
         (n, classic.residue_vector(lam, m))
         for n in range(order + 1) for lam in classic.partitions_of(n) if predicate(lam)))
-
-
-def _by_degree(series):
-    """Per q-degree, a dict of the coefficients by exponent vector."""
-    rows = [{} for _ in range(series.order + 1)]
-    for (d, exps), v in series.coeffs.items():
-        rows[d][exps] = v
-    return rows
 
 
 def _need_order(order):

@@ -54,18 +54,19 @@ def _partition_json(pi, colors, energy):
 # series costs at least the square of its order.  verify caches every
 # classical partition of each n, about 2.3x more memory per +5 of order
 # (order 50: 3-7 s, 392-401 MB).  Its residue identities build an m x m
-# energy (keith_xiong m = 1000, order 2: 4.6 s), and their walks grow with
-# m too (keith_xiong m = 10, order 50: 26-34 s, 1.0-1.1 GB).  A character
-# walk grows with both rank and order (A2n2 rank 2, order 40: 10-12 s;
-# rank 200, order 2: 6-7 s, 0.8 GB), and can be slow inside the limits
-# (Bn1-Ln rank 4, order 10: 39-48 s).  An Fk walk builds all n^k color
-# words first (3^10 words: 0.7 s, 3^12: 5.6 s).  flatten --invert pads its
-# last group with zero ground parts up to the degree, so time and memory
-# grow linearly in it (degree 10^6: 0.7 s, 54 MB; 3 x 10^6: 2.0 s,
-# 130 MB).  count and verify-deg2 walk every member up to the size, which
-# grows with the word's length (count --word abab at size 100: 2.4-3.5 s;
-# verify-deg2 --word abab at max size 80: 4.3-5.1 s); a longer word can
-# still take minutes inside them.
+# energy (keith_xiong m = 1000, order 2: 3.5 s), and their columns grow with
+# m too (keith_xiong m = 10, order 50: 14-18 s, 0.9 GB, of which the two
+# classical residue columns take 11 s and the two walks 4 s and 0.3 GB).
+# A character walk grows with both rank and order (A2n2 rank 2, order 40:
+# 2.4 s; rank 200, order 2: 7 s, 0.8 GB), and can be slow inside the
+# limits (Bn1-Ln rank 4, order 10: 6-8.5 s, 108 MB).  An Fk walk builds all
+# n^k color words first (3^10 words: 0.7 s, 3^12: 5.6 s).  flatten --invert
+# pads its last group with zero ground parts up to the degree, so time and
+# memory grow linearly in it (degree 10^6: 0.7 s, 54 MB; 3 x 10^6: 2.0 s,
+# 130 MB).  count and verify-deg2 fold the walk and build no member, but
+# the walk grows with the word's length (count --word abab at size 100:
+# 0.3 s; verify-deg2 --word abab at max size 80: 0.6-0.7 s; count --word
+# bbbbbbbb on the mixed energy at size 100: 14 s).
 MAX_SERIES_ORDER = 1000
 MAX_VERIFY_ORDER = 50
 MAX_VERIFY_MODULUS = 100

@@ -45,7 +45,8 @@ are two rules:
   row's least size once and stops at the first word over the budget.
   Parts of charge zero can repeat without end, and then only the part cap
   ends the walk:
-  ``characters.character_lhs`` raises when a kept path reaches its cap;
+  ``characters.character_lhs`` and ``size_counts`` raise when a kept path
+  reaches its cap;
 - regular (R1, O+, O-, E+, E- and R2): ``_regular_rule`` runs left to
   right.  A part is a word w with a base b, of size len(w)*b + inner(w),
   inner(w) the energy inside w.  The words are the non-ground colors for
@@ -509,10 +510,20 @@ def size_counts(tag, energy, colors, word, max_size, degree=None):
     word, from one fold of the walk under ``Budget(max_size, word=word)`` and
     its default part cap, each part weighed by its size.  A Counter, since O-
     and E- sizes can be negative.
+
+    UsageError is raised when a kept path reaches the cap, exactly when a
+    count up to ``max_size`` is infinite.  The flat rule refuses a negative
+    size, so a member of size at most ``max_size`` with ``max_size +
+    len(word) + 1`` parts has more parts of size zero than letters: one of
+    them is all ground, and it can repeat without end, changing neither the
+    size nor the word.  A regular part always spells a letter, so a regular
+    walk never reaches the cap.  The whole window is refused, as the flat
+    rule refuses a whole energy on one negative size.
     """
     budget = Budget(max_size, word=tuple(word))
     rule = _rule(tag, energy, colors, budget, degree)
-    return _fold(rule, budget, partial(part_size, energy=energy))
+    return _fold(rule, budget, partial(part_size, energy=energy), "an all-ground part of "
+                 "size zero repeats, so a count up to size %d is infinite" % max_size)
 
 
 def count_by_word(tag, energy, colors, word, n, degree=None):

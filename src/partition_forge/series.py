@@ -326,11 +326,11 @@ class PackedRows(Mapping):
         return self._unpacked() == other
 
 
-def _shift_add(rows, src, dst, m, s):
-    """rows[dst] += s * x^m * rows[src], for distinct rows on packed keys."""
-    into = rows[dst]
+def _shift_add(into, items, m, s):
+    """into += s * x^m * items, on packed keys; ``items`` is not read from
+    ``into`` while it changes."""
     get = into.get
-    for k, v in rows[src].items():
+    for k, v in items:
         k += m
         into[k] = get(k, 0) + s * v
 
@@ -359,17 +359,15 @@ def pochhammer_expand(factors, order, nvars):
             if factor.reciprocal:
                 rows += [{} for _ in range(len(rows), order + 1)]
                 for d in range(a, order + 1):
-                    _shift_add(rows, d - a, d, m, 1)
+                    _shift_add(rows[d], rows[d - a].items(), m, 1)
             elif a == 0:
                 for row in rows:
-                    for k, v in list(row.items()):
-                        k += m
-                        row[k] = row.get(k, 0) + s * v
+                    _shift_add(row, list(row.items()), m, s)
             else:
                 top = min(len(rows) - 1 + a, order)
                 rows += [{} for _ in range(len(rows), top + 1)]
                 for d in range(top - a, -1, -1):
-                    _shift_add(rows, d, d + a, m, s)
+                    _shift_add(rows[d + a], rows[d].items(), m, s)
 
     return TruncatedSeries._of(order, nvars, PackedRows(rows, nvars, width))
 

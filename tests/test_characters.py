@@ -292,17 +292,19 @@ def test_named_identity_flags_a_differing_count(monkeypatch):
 def test_named_identity_compares_walked_columns_by_color(monkeypatch, name, m, tag):
     # swapping the two color variables of one walked column keeps every
     # q-count, so only the full degree-n slices can tell the sides apart
-    walk_gf = characters._walk_gf
+    walked = characters._walked
 
-    def swapped(walked_tag, setup, order):
-        series = walk_gf(walked_tag, setup, order)
-        if walked_tag != tag:
-            return series
-        assert series.nvars == 2
-        swap = {(d, exps[::-1]): v for (d, exps), v in series.coeffs.items()}
-        return TruncatedSeries(order, 2, swap)
+    def swapped(setup, order, **tags):
+        columns = walked(setup, order, **tags)
+        for label, walked_tag in tags.items():
+            if walked_tag == tag:
+                series = columns[label]
+                assert series.nvars == 2
+                swap = {(d, exps[::-1]): v for (d, exps), v in series.coeffs.items()}
+                columns[label] = TruncatedSeries(order, 2, swap)
+        return columns
 
-    monkeypatch.setattr(characters, "_walk_gf", swapped)
+    monkeypatch.setattr(characters, "_walked", swapped)
     report = verify_named_identity(name, 8, m=m)
     for row in report["rows"]:
         assert len({v for k, v in row.items() if k not in ("n", "match")}) == 1, row
@@ -445,6 +447,24 @@ def test_character_digit_width_comes_from_the_part_cap():
         for route in ("direct", "transform"):
             assert character_lhs(config, order, route) == _character_lhs_of_members(
                 config, order, route), (order, route)
+
+
+def test_identity_digit_width_comes_from_the_part_cap():
+    # an identity walks under the part cap order + 1 with two colors a part,
+    # so a color count takes a byte at order 62 (2 * 63 = 126), then two at
+    # order 63 (128); the members are far shorter, so gf_from_partitions
+    # packs both orders in bytes
+    for setup, tags in ((siladic_setup(), ("R2", "F2", "O+")),
+                        (glaisher_analogue_setup(2), ("F1", "R1"))):
+        colors, energy, transform = setup
+        for order, width in ((62, 8), (63, 16)):
+            bits = (2 * (order + 1)).bit_length() + 1
+            assert series._digits(bits, len(colors.non_ground))[0] == width
+            walked = characters._walked(setup, order, **{tag: tag for tag in tags})
+            for tag in tags:
+                found = walk_members(tag, energy, colors, Budget(order), transform=transform)
+                assert walked[tag] == gf_from_partitions(
+                    found, colors, energy, order, transform), (tag, order)
 
 
 def test_character_lhs_holds_no_member_list():

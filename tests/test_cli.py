@@ -19,6 +19,9 @@ REGULAR_TEXT = "10a 8a 8b 7b 5a 4a 3a 2b 1a 1b 1b 0c"
 # members but one R1 member
 NON_MINIMAL_TEXT = "a b g\ng\n0 0 1\n2 0 1\n0 0 0\n"
 ONE_COLOR_TEXT = "g\ng\n0\n"
+# eps(b, a) = -1: 0g ... 0g 0b 1a 0g is an F1 member of size 1 for every
+# number of leading 0g parts
+GROUND_LOOP_TEXT = "a b g\ng\n0 0 1\n-1 0 1\n0 0 0\n"
 
 
 @pytest.fixture()
@@ -376,6 +379,9 @@ EXIT_CODES = (
     # |--size| is checked before the energy is read: O- and E- sizes are negative
     ("count --family F1 --energy {strict} --word ab --size 100", 0, "49\n"),
     ("count --family O- --energy {strict} --word ab --size -100", 0, "51\n"),
+    ("count --family F1 --energy {ground_loop} --word ba --size 1", 2,
+     "a count up to size 1 is infinite"),
+    ("count --family F1 --energy {ground_loop} --word ba --size 0", 0, "0\n"),
     ("count --family F1 --energy {strict} --word ab --size 101", 2,
      "|--size| must be at most 100, got 101"),
     ("count --family O- --energy /no/such/file --word ab --size -101", 2,
@@ -456,8 +462,10 @@ def test_exit_codes(capsys, energies, tmp_path, command, code, expected):
     non_minimal.write_text(NON_MINIMAL_TEXT)
     one_color = tmp_path / "one_color.energy"
     one_color.write_text(ONE_COLOR_TEXT)
+    ground_loop = tmp_path / "ground_loop.energy"
+    ground_loop.write_text(GROUND_LOOP_TEXT)
     argv = shlex.split(command.format(mixed=mixed, strict=strict, non_minimal=non_minimal,
-                                      one_color=one_color))
+                                      one_color=one_color, ground_loop=ground_loop))
     got, out, err = run(capsys, *argv)
     assert got == code
     if code == 0:

@@ -5,6 +5,7 @@ from itertools import chain, product
 import pytest
 
 from partition_forge.core import (
+    ColorSystem,
     DegreeK,
     EnergyMatrix,
     InvalidPartitionError,
@@ -800,6 +801,22 @@ def test_size_counts_is_the_member_walk():
             found = walk_members(tag, energy, colors, Budget(size, word=word), degree=degree)
             assert size_counts(tag, energy, colors, word, size, degree) == Counter(
                 partition_size(pi, energy) for pi in found), (tag, degree, word, size)
+
+
+def test_size_counts_refuses_an_infinite_count():
+    # eps(b, a) = -1: 0g ... 0g 0b 1a 0g is an F1 member of size 1 for every
+    # number of leading 0g parts, so each longer part cap lists one more
+    colors = ColorSystem(("a", "b", "g"), 2)
+    energy = EnergyMatrix([[0, 0, 1], [-1, 0, 1], [0, 0, 0]])
+    word = w(colors, "ba")
+    assert [len(walk_members("F1", energy, colors, Budget(1, cap, word)))
+            for cap in range(3, 7)] == [2, 3, 4, 5]
+    assert size_counts("F1", energy, colors, word, 0) == Counter()
+    for max_size in (1, 2, 3):
+        with pytest.raises(UsageError, match="count up to size %d is infinite" % max_size):
+            size_counts("F1", energy, colors, word, max_size)
+    # a regular part spells a letter, so R1 stops short of its cap
+    assert size_counts("R1", energy, colors, word, 3) == Counter({1: 1, 2: 1, 3: 2})
 
 
 def _expansions(monkeypatch, walk, call):

@@ -10,10 +10,10 @@ command at both commits:
     python tools/cli_corpus.py
 
 The energies are the two shipped files and copies of the non-minimal,
-one-color and sinking energy texts that the tests use, written to a
-temporary directory; both directories are replaced by fixed names before
-hashing, so the digests do not depend on where the checkout lives.  The
-inputs of the maps are the first members that the corpus's own
+one-color, sinking and ground-loop energy texts that the tests use,
+written to a temporary directory; both directories are replaced by fixed
+names before hashing, so the digests do not depend on where the checkout
+lives.  The inputs of the maps are the first members that the corpus's own
 ``enumerate`` calls print.  Stdlib only; it writes nothing in the repository.
 """
 
@@ -38,6 +38,8 @@ TEXTS = {
     "non_minimal": "a b g\ng\n0 0 1\n2 0 1\n0 0 0\n",  # eps(b, a) = 2
     "one_color": "g\ng\n0\n",
     "sinking": "a b g\ng\n0 -1 1\n-1 0 1\n0 0 0\n",  # sizes can sink
+    # eps(b, a) = -1: F1 counts of the word ba are infinite from size 1
+    "ground_loop": "a b g\ng\n0 0 1\n-1 0 1\n0 0 0\n",
 }
 WORDS = (None, "", "a", "ab", "ba")
 FIRST = 12  # map inputs per family and energy
