@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from . import classic
 from .core import ColorSystem, EnergyMatrix, SizeTransform, UsageError
-from .families import Budget, _flat_rule, _fold, _rule
+from .families import Budget, _flat_rule, _path_sum, _rule
 from .series import ProductFactor, TruncatedSeries, _packed_weights, pochhammer_expand
 
 @dataclass(frozen=True)
@@ -118,19 +118,24 @@ def build_config(family, rank):
 def character_lhs(config, order, route="direct"):
     """Flat-partition generating function, by either enumeration route.
 
-    Both routes walk under the part cap ``(order + 1) * (n + 1)``, n the
-    number of colors.  A part of charge zero has at most one size per color,
-    so at most n kinds.  A member of charge at most ``order`` has at most
-    ``order`` other parts, which split the rest into at most ``order + 1``
-    runs.  So a member with ``(order + 1) * (n + 1)`` parts before its
-    terminal repeats a part, and with it the walk's state, inside one run,
-    and that run can repeat without end: the walk reaches this part cap
-    exactly when a coefficient up to ``order`` is infinite, and then
-    ``UsageError`` is raised.
+    Both routes sum over the flat rule's states (``_walk_gf``), so no
+    member is built and no path is visited twice (the direct route alone
+    has millions of members at order ten).  The charge spent is part of a
+    state, so a state met again while it is still open closes a cycle of
+    zero-charge parts, which can repeat without end: when kept paths leave
+    it, a coefficient up to ``order`` is infinite, and ``UsageError`` is
+    raised.  There are finitely many states within the charge, so every
+    infinite coefficient shows as such a cycle.
 
-    No member is built (the direct route alone has millions of members at
-    order ten): ``_walk_gf`` folds the walk.  A primary part carries one
-    color and the terminal none.
+    The digit width comes from the part cap ``(order + 1) * (n + 1)``, n
+    the number of colors.  A part of charge zero has at most one size per
+    color, so at most n kinds.  A member of charge at most ``order`` has at
+    most ``order`` other parts, which split the rest into at most ``order +
+    1`` runs.  So a member with ``(order + 1) * (n + 1)`` parts before its
+    terminal repeats a part, and with it the state, inside one run: a
+    cycle, which is refused.  Every member summed is shorter than the cap,
+    and a primary part carries one color and the terminal none, so a digit
+    holds any member's count of one color.
     """
     if route == "direct":
         energy, transform = config.energy_prime, None
@@ -207,16 +212,18 @@ def siladic_setup():
     return colors, _chain_energy(colors), SizeTransform(4, (-3, -1, 0))
 
 
-def _walk_gf(rule, budget, setup, per_part, capped=None):
-    """Generating function of one rule's walk on a (colors, energy,
-    transformation) setup, up to the budget's size: the walk folded
-    (``families._fold``, given ``capped``), each part weighed once per
-    distinct state by ``_packed_weights``.  A member's count of one color is
-    at most the part cap times ``per_part``, the most colors one part
-    carries, and that sets the digit width."""
+def _walk_gf(rule, budget, setup, per_part, capped):
+    """Generating function of one rule's members on a (colors, energy,
+    transformation) setup, up to the budget's size: the path sum
+    (``families._path_sum``, raising UsageError(capped) on a cycle that
+    kept paths leave), each part weighed once per distinct state by
+    ``_packed_weights``.  A member's count of one color is at most the
+    part cap times ``per_part``, the most colors one part carries, and
+    that sets the digit width: the caller shows that no member it sums
+    has more parts than the cap."""
     colors, energy, transform = setup
     weigh, read = _packed_weights(colors, energy, transform, per_part * budget.max_parts)
-    return read(_fold(rule, budget, weigh, capped), budget.max_size)
+    return read(_path_sum(rule, budget, weigh, capped), budget.max_size)
 
 
 def verify_named_identity(name, order, m=None):
@@ -252,13 +259,19 @@ def verify_named_identity(name, order, m=None):
 
 
 def _walked(setup, order, **tags):
-    """``{label: series}`` of the families ``tags`` names, walked on one setup
-    under its transformation up to ``order``; a part carries at most two
-    colors."""
+    """``{label: series}`` of the families ``tags`` names, summed on one
+    setup under its transformation up to ``order``; a part carries at most
+    two colors.
+
+    The regular rules hold the part cap ``order + 1`` in their states, and
+    a flat member has no more parts: in each setup every part of a member
+    but its terminal has a positive charge.
+    """
     colors, energy, transform = setup
     budget = Budget(order)
     return {label: _walk_gf(_rule(tag, energy, colors, budget, transform=transform), budget,
-                            setup, 2)
+                            setup, 2, "zero-charge %s parts repeat, so a coefficient up to "
+                            "q^%d is infinite" % (tag, order))
             for label, tag in tags.items()}
 
 

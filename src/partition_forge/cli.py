@@ -54,19 +54,21 @@ def _partition_json(pi, colors, energy):
 # series costs at least the square of its order.  verify caches every
 # classical partition of each n, about 2.3x more memory per +5 of order
 # (order 50: 3-7 s, 392-401 MB).  Its residue identities build an m x m
-# energy (keith_xiong m = 1000, order 2: 3.5 s), and their columns grow with
-# m too (keith_xiong m = 10, order 50: 14-18 s, 0.9 GB, of which the two
-# classical residue columns take 11 s and the two walks 4 s and 0.3 GB).
-# A character walk grows with both rank and order (A2n2 rank 2, order 40:
-# 2.4 s; rank 200, order 2: 7 s, 0.8 GB), and can be slow inside the
-# limits (Bn1-Ln rank 4, order 10: 6-8.5 s, 108 MB).  An Fk walk builds all
-# n^k color words first (3^10 words: 0.7 s, 3^12: 5.6 s).  flatten --invert
-# pads its last group with zero ground parts up to the degree, so time and
-# memory grow linearly in it (degree 10^6: 0.7 s, 54 MB; 3 x 10^6: 2.0 s,
-# 130 MB).  count and verify-deg2 fold the walk and build no member, but
-# the walk grows with the word's length (count --word abab at size 100:
-# 0.3 s; verify-deg2 --word abab at max size 80: 0.6-0.7 s; count --word
-# bbbbbbbb on the mixed energy at size 100: 14 s).
+# energy (keith_xiong m = 1000, order 2: 3.1 s), and their columns grow with
+# m too (keith_xiong m = 10, order 50: 15 s, 0.9 GB, of which the two
+# classical residue columns take 11 s and the two path sums 3.8 s and
+# 0.3 GB).  A character's path sum grows with both rank and order (A2n2
+# rank 2, order 40: 0.1 s; rank 200, order 2: 6 s, 0.8 GB), and can be
+# slow inside the limits (Bn1-Ln rank 4, order 10: 0.85-1.0 s, 106 MB;
+# rank 5, order 10: 8 s, 0.5 GB).  An Fk walk builds all n^k color words
+# first (3^10 words: 0.7 s, 3^12: 5.6 s).  flatten --invert pads its last
+# group with zero ground parts up to the degree, so time and memory grow
+# linearly in it (degree 10^6: 0.7 s, 54 MB; 3 x 10^6: 2.0 s, 130 MB).
+# count and verify-deg2 sum over the rule's states and build no member,
+# and the regular families, whose states seldom meet, cost the most
+# (count --word abab at size 100: 0.02 s for F1 and F2; verify-deg2 --word
+# abab at max size 80: 0.3-0.45 s; count --word bbbbbbbb on the mixed
+# energy at size 100: 0.06 s for F1, 0.09 s for F2).
 MAX_SERIES_ORDER = 1000
 MAX_VERIFY_ORDER = 50
 MAX_VERIFY_MODULUS = 100
@@ -100,6 +102,13 @@ def _cmd_enumerate(args):
     word = _parse_word(args.word, colors) if args.word is not None else None
     budget = families.Budget(args.max_size, args.max_parts, word)
     found = families.members(args.family, energy, colors, budget, degree=args.degree)
+    # a member at the default cap may have longer ones past it, which the
+    # walk did not reach
+    term = args.family not in (families.O_PLUS, families.O_MINUS, families.E_PLUS,
+                               families.E_MINUS)
+    if args.max_parts is None and any(len(pi) - term >= budget.max_parts for pi in found):
+        raise UsageError("a member reaches the default part cap of %d parts, so longer ones "
+                         "may be missing; pass --max-parts" % budget.max_parts)
     if args.json:
         print(
             json.dumps(

@@ -5,35 +5,38 @@ independent oracle layer: every bijection and identity in the package is
 checked against the lists produced here.  All walks are finite under a
 budget (total size cap, part-count cap, optional color-word filter).
 
-One driver, ``_walk``, does every walk: a depth-first search kept on an
-explicit stack of iterators over successor lists, so no budget can overflow
-the Python stack.  A family supplies only its successor rule, a ``_Rule``:
-``children(state)`` yields ``(part, next_state, keep)`` for every admissible
-next part, where ``keep`` says whether the path ending in that part is
-emitted.  Paths meet the same state again and again (a flat part's size is
-forced by its right neighbour: a Bn1-Ln character route at rank 3 and order
-6 visits 87 states 21,120 times), so ``_walk`` keeps, for one call, a dict
-from each state to the list of its successors: the rule runs on a state's
-first visit and the list is replayed on every later one.  So a rule must be
-a pure function of its state, as both rules are; the part cap is applied by
-the driver to the path, and a state's successors do not depend on its
-depth.  The dict holds only the distinct states reached, with their
-successors, whose parts the members share; their number grows polynomially
-in the budget.  A rule that raises partway through a state's successors
-does so on its first visit, before the walk enters any of them.
+A family supplies only its successor rule, a ``_Rule``: ``children(state)``
+yields ``(part, next_state, keep)`` for every admissible next part, where
+``keep`` says whether the path ending in that part is a member (with the
+terminal, if the family has one).  A rule must be a pure function of its
+state, as both rules are.  Two functions read the rules, both on explicit
+stacks, so no budget can overflow the Python stack, and both expand each
+state once:
 
-The driver either lists the members or folds them, as its caller chooses
-once per call.  Each successor in a listed row carries a weight: the
-one-part tuple of its part for the member walk (``walk_members``,
-``members``, ``flat_walk``), or for a fold the caller's ``weigh`` of the
-part, computed when the state is first expanded, so each part is weighed
-once per distinct state.  Beside its stack of iterators the walk keeps a
-stack of running sums, and it yields each kept path's sum: the path itself,
-or its weight.  ``_fold`` counts the weights in a Counter, adds the
-terminal's, and builds no member.  ``size_counts`` (so ``count_by_word``,
-``verify-deg2`` and ``deg2.flatreg2_table``) weighs a part by its size;
-``characters.character_lhs`` and the walked columns of the named identities
-by its packed degree and color counts (``series._packed_weights``).  There
+- ``_walk``, the member walk (``walk_members``, ``members``, ``flat_walk``),
+  lists every kept path under the part cap in depth-first order.  Paths
+  meet the same state again and again (a flat part's size is forced by its
+  right neighbour), so it keeps, for one call, a dict from each state to
+  the list of its successors: the rule runs on a state's first visit and
+  the list is replayed on every later one.  The dict holds only the
+  distinct states reached, whose number grows polynomially in the budget.
+- ``_path_sum`` sums a weight over the members without visiting a path:
+  the path model of Kang, Kashiwara, Misra, Miwa, Nakashima and Nakayashiki
+  (1992).  One post-order pass gives each state the counts of the weights
+  of the kept paths that leave it, from its successors' counts, each part
+  weighed once.  A Bn1-Ln character route at rank 3 and order 6 has
+  87 states, which the member walk visits 21,120 times.  ``size_counts``
+  (so ``count_by_word``, ``verify-deg2`` and ``deg2.flatreg2_table``)
+  weighs a part by its size; ``characters.character_lhs`` and the walked
+  columns of the named identities by its packed degree and color counts
+  (``series._packed_weights``).  It does not apply the part cap, which
+  regular states hold themselves; its cycle rule stands in for it on the
+  flat rule: a successor back to a state still open is a cycle of parts
+  that repeat without end, and the sum is refused when kept paths leave
+  it.
+
+A rule that raises partway through a state's successors does so when the
+state is first expanded, before either function enters any of them.  There
 are two rules:
 
 - flat (F1, F2, Fk and both character routes): one rule for every degree
@@ -44,9 +47,8 @@ are two rules:
   for Fk.  Its rows of words are sorted by charge, so a node checks its
   row's least size once and stops at the first word over the budget.
   Parts of charge zero can repeat without end, and then only the part cap
-  ends the walk:
-  ``characters.character_lhs`` and ``size_counts`` raise when a kept path
-  reaches its cap;
+  ends the member walk; the path sum meets them as a cycle, on which
+  ``characters.character_lhs`` and ``size_counts`` raise;
 - regular (R1, O+, O-, E+, E- and R2): ``_regular_rule`` runs left to
   right.  A part is a word w with a base b, of size len(w)*b + inner(w),
   inner(w) the energy inside w.  The words are the non-ground colors for
@@ -155,46 +157,41 @@ class _Rule(NamedTuple):
     leftward: bool
 
 
-def _walk(children, root, budget, weigh=None, at_cap=None):
-    """The sum of every kept path of a depth-first walk from ``root``.
+def _walk(children, root, budget):
+    """Every kept path of a depth-first walk from ``root``, each the tuple
+    of its parts, in walk order.
 
-    A path's sum is the tuple of its parts, or given ``weigh``, the sum of
-    ``weigh(part)`` over its parts: a fold, which builds no path.  The empty
-    path, of sum ``()`` or 0, is kept when the budget has no word to spell.
-    No path grows past the part cap; ``at_cap``, if given, receives the sum
-    of each kept path that reaches it.  Each state is expanded once: its
-    successors are listed, each part weighed, on the first visit, and the
+    The empty path is kept when the budget has no word to spell.  No path
+    grows past the part cap.  Each state is expanded once: its successors
+    are listed on the first visit, each part in a one-part tuple, and the
     list is replayed on every later one, so ``children`` must be a pure
-    function of its state, and a part is weighed once per distinct state.
+    function of its state.
     """
-    zero, weigh = ((), lambda part: (part,)) if weigh is None else (0, weigh)
     if not budget.word:
-        yield zero
+        yield ()
     max_parts = budget.max_parts
 
     def expand(state):
-        return [(weigh(part), nxt, keep) for part, nxt, keep in children(state)]
+        return [((part,), nxt, keep) for part, nxt, keep in children(state)]
 
-    expanded = {root: expand(root)}  # state -> its successors, each part weighed
-    sums = [zero]  # sums[i] is the sum of the path's first i parts
+    expanded = {root: expand(root)}  # state -> its successors
+    paths = [()]  # paths[i] is the path's first i parts
     stack = [iter(expanded[root])]  # stack[i] yields the successors of that path
     while stack:
-        for weight, state, keep in stack[-1]:
-            total = sums[-1] + weight
+        for part, state, keep in stack[-1]:
+            path = paths[-1] + part
             if keep:
-                yield total
+                yield path
             if len(stack) < max_parts:
                 row = expanded.get(state)
                 if row is None:
                     row = expanded[state] = expand(state)
                 stack.append(iter(row))
-                sums.append(total)
-            elif keep and at_cap:
-                at_cap(total)
+                paths.append(path)
             break
         else:
             stack.pop()
-            sums.pop()
+            paths.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +216,7 @@ def _flat_rule(energy, colors, budget, degree=1, make=Primary, transform=None):
     one, ``Secondary`` at degree two.  It is charged its size, or under a
     ``transform`` the scale times its size plus the shifts of its word.
     Zero-charge parts may repeat without end, and then only the part cap
-    ends the walk: a caller that must see every member within the charge
-    checks that none reaches the cap, as ``characters.character_lhs`` does.
+    ends the member walk; ``_path_sum`` meets them as a cycle of states.
 
     Each row (the words that may precede a given first color) is built when
     a node first needs it and cached per first color for the call.  It is
@@ -467,17 +463,89 @@ def _members(rule, budget):
     return [pi + rule.term for pi in paths]
 
 
-def _fold(rule, budget, weigh, capped=None):
+def _path_sum(rule, budget, weigh, capped):
     """Counter of the weights of the members of one rule's walk, a member's
-    weight the sum of ``weigh`` over its parts, from ``_walk``'s fold.
-    Given ``capped``, UsageError(capped) is raised after the walk if a kept
-    path reached the part cap; the terminal is weighed after that."""
-    deep = []
-    sums = Counter(_walk(rule.children, rule.root, budget, weigh, deep.append))
-    if capped and deep:
-        raise UsageError(capped)
+    weight the sum of ``weigh`` over its parts, summed over the rule's
+    states rather than its paths.
+
+    A depth-first pass on an explicit stack expands each state once, as
+    ``_walk`` does, weighing each part once, numbers the states in the
+    order first met (so the second pass hashes no state), and lists them in
+    post-order.  A second pass gives each state in that order a dict
+    ``{sum: count}`` over the kept paths that leave it: per successor in row
+    order, the part's own weight if its path is kept, then the weight plus
+    each sum of the successor's state.  The earlier part is added on the
+    left and a dict is filled in row order, so its keys come in the order
+    in which the walk first meets them, and a sum holding a
+    ``series._Negative`` keeps the part that the walk keeps.  A state's
+    dict is dropped once every row that holds the state has been summed.
+    No path is visited twice and no member is built.
+
+    The part cap is not applied: only the rule's own states bound a path.
+    A successor whose state is still open in the first pass closes a cycle,
+    which carries nothing into the sums.  In the second pass,
+    UsageError(capped) is raised if kept paths leave a state that closes a
+    cycle, since they repeat without end, so a count is infinite.  The
+    empty path is kept when the budget has no word, and the terminal is
+    weighed last, as the walk weighs it.
+    """
+    children = rule.children
+    index = {}  # state -> its number, in the order first met
+    holders = []  # holders[i]: the rows that hold state i
+    closed = []  # closed[i]: whether state i has left the stack
+    post = []  # (i, its successors as (weight, number, keep)), in post-order
+    cycles = set()  # the numbers of the states met again while open
+
+    def expand(state):
+        i = index[state] = len(holders)
+        holders.append(0)
+        closed.append(False)
+        return i, iter([(weigh(part), nxt, keep) for part, nxt, keep in children(state)]), []
+
+    stack = [expand(rule.root)]
+    while stack:
+        i, rest, row = stack[-1]
+        for weight, nxt, keep in rest:
+            j = index.get(nxt)
+            if j is None:  # first met: enter it
+                stack.append(expand(nxt))
+                j = len(holders) - 1
+                holders[j] = 1
+                row.append((weight, j, keep))
+                break
+            if not closed[j]:
+                cycles.add(j)
+            holders[j] += 1
+            row.append((weight, j, keep))
+        else:
+            stack.pop()
+            closed[i] = True
+            post.append((i, row))
+    sums = [None] * len(holders)  # sums[i]: the sums of the kept paths leaving state i
+    for i, row in post:
+        out = {}
+        get = out.get
+        for weight, j, keep in row:
+            if keep:
+                out[weight] = get(weight, 0) + 1
+            sub = sums[j]
+            if sub is None:  # a cycle
+                continue
+            for total, n in sub.items():
+                total = weight + total
+                out[total] = get(total, 0) + n
+            holders[j] -= 1
+            if not holders[j]:  # no row left to read it
+                sums[j] = None
+        if out and i in cycles:
+            raise UsageError(capped)
+        sums[i] = out
+    found = sums[0]  # the root's
+    if not budget.word:  # the empty path, first in walk order
+        found = {0: 0, **found}
+        found[0] += 1
     shift = sum(map(weigh, rule.term))
-    return Counter({total + shift: n for total, n in sums.items()}) if shift else sums
+    return Counter({total + shift: n for total, n in found.items()} if shift else found)
 
 
 def walk_members(tag, energy, colors, budget, degree=None, transform=None):
@@ -507,23 +575,25 @@ def members(tag, energy, colors, budget, degree=None, transform=None):
 
 def size_counts(tag, energy, colors, word, max_size, degree=None):
     """Counter of the sizes of the family members with the given non-ground
-    word, from one fold of the walk under ``Budget(max_size, word=word)`` and
-    its default part cap, each part weighed by its size.  A Counter, since O-
-    and E- sizes can be negative.
+    word, from one path sum of the rule under ``Budget(max_size,
+    word=word)``, each part weighed by its size.  A Counter, since O- and
+    E- sizes can be negative.
 
-    UsageError is raised when a kept path reaches the cap, exactly when a
-    count up to ``max_size`` is infinite.  The flat rule refuses a negative
-    size, so a member of size at most ``max_size`` with ``max_size +
-    len(word) + 1`` parts has more parts of size zero than letters: one of
-    them is all ground, and it can repeat without end, changing neither the
-    size nor the word.  A regular part always spells a letter, so a regular
-    walk never reaches the cap.  The whole window is refused, as the flat
-    rule refuses a whole energy on one negative size.
+    UsageError is raised when the path sum meets a cycle that kept paths
+    leave, exactly when a count up to ``max_size`` is infinite.  A flat
+    state holds the size spent and the letters consumed, and the flat rule
+    refuses a negative size, so the parts of a cycle are all ground and of
+    size zero, and they repeat without end, changing neither the size nor
+    the word.  Conversely, the states within the budget are finitely many,
+    so a family with members of every length repeats a state on one of
+    them.  A regular state counts the letters left, which every regular
+    part spells, so a regular rule has no cycle.  The whole window is
+    refused, as the flat rule refuses a whole energy on one negative size.
     """
     budget = Budget(max_size, word=tuple(word))
     rule = _rule(tag, energy, colors, budget, degree)
-    return _fold(rule, budget, partial(part_size, energy=energy), "an all-ground part of "
-                 "size zero repeats, so a count up to size %d is infinite" % max_size)
+    return _path_sum(rule, budget, partial(part_size, energy=energy), "an all-ground part of "
+                     "size zero repeats, so a count up to size %d is infinite" % max_size)
 
 
 def count_by_word(tag, energy, colors, word, n, degree=None):

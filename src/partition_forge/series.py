@@ -9,8 +9,8 @@ This module is also the boundary where color words stop being words:
 its non-ground colors as one packed int (the degree above the color-count
 digits), so a partition's weight is the sum of its parts', and from then on
 the colors commute.  ``gf_from_partitions`` weighs each distinct part of a
-member list once; ``characters`` weighs the parts of a folded walk
-(``families._fold``) and reads the sums back the same way.
+member list once; ``characters`` weighs the parts of a path sum
+(``families._path_sum``) and reads the sums back the same way.
 
 ``pochhammer_expand`` does not build a series per factor.  It keeps the
 running product as rows by q-degree, and keys each row by one packed int per

@@ -367,6 +367,16 @@ def test_character_lhs_raises_on_a_zero_charge_cycle():
             character_lhs(config, 4, route)
 
 
+def test_walked_column_raises_on_a_zero_charge_cycle():
+    # the same cycle in a named identity's walked column: its F1 sum is
+    # refused, where the walk under Budget(order) cut it off silently
+    colors, energy = parse_energy("a g\ng\n0 0\n1 0\n")
+    setup = colors, energy, SizeTransform.identity(2)
+    with pytest.raises(UsageError, match="zero-charge F1 parts repeat, so a coefficient up "
+                                         "to q\\^4 is infinite"):
+        characters._walked(setup, 4, flat="F1")
+
+
 def test_character_lhs_raises_exactly_when_a_coefficient_is_infinite():
     # at order 1 a finite family has no member of 10 parts before its
     # terminal (the cap is at most 8 on three colors), while a zero-charge
@@ -496,3 +506,18 @@ def test_identity_walks_need_no_more_parts_than_their_order(setup, tags):
     for tag in tags:
         assert walk_members(tag, energy, colors, Budget(10, 11), transform=transform) == \
             walk_members(tag, energy, colors, Budget(10, 44), transform=transform), tag
+
+
+def test_character_path_sum_is_the_product_up_to_rank_four():
+    # the walk takes 39 s at Bn1-Ln rank 4, order 10; the path sum does
+    # not walk, so both routes of every family at ranks 2-4 (B from 3)
+    # meet the product side there
+    cases = 0
+    for family in CHARACTER_FAMILIES:
+        for rank in range(2 if family != "Bn1-Ln" else 3, 5):
+            config = build_config(family, rank)
+            rhs = character_rhs(config, 10)
+            for route in ("direct", "transform"):
+                assert character_lhs(config, 10, route) == rhs, (family, rank, route)
+                cases += 1
+    assert cases == 11 * 2

@@ -22,6 +22,9 @@ ONE_COLOR_TEXT = "g\ng\n0\n"
 # eps(b, a) = -1: 0g ... 0g 0b 1a 0g is an F1 member of size 1 for every
 # number of leading 0g parts
 GROUND_LOOP_TEXT = "a b g\ng\n0 0 1\n-1 0 1\n0 0 0\n"
+# eps(a, b) = 0 and eps(b, g) = 0: 1a 0a 0b 0g is an F1 member of size 1
+# with three parts before its terminal, past the default part cap of 2
+DEEP_FLAT_TEXT = "a b g\ng\n1 0 0\n1 1 0\n1 1 0\n"
 
 
 @pytest.fixture()
@@ -367,12 +370,23 @@ def test_shared_parser_matches_fresh_parser(capsys, energies, monkeypatch):
 
 
 # (argv, exit code, stdout or the message of the one stderr line, or for
-# exit code 1 a line of stdout); "{mixed}", "{strict}" and "{non_minimal}"
-# stand for the energy files, "{{" and "}}" for braces
+# exit code 1 a line of stdout); "{mixed}", "{strict}" and the other names
+# in braces stand for the energy files, "{{" and "}}" for braces
 EXIT_CODES = (
     ("enumerate --family F1 --energy {strict} --max-size 1", 0, "0c\n1a 0c\n1b 0c\n"),
     ("enumerate --family Fk --energy {strict} --max-size 1", 2,
      "degree-k partitions need degree >= 1, got None"),
+    # a member at the default part cap: the finite family lists 12 members
+    # under a cap of 3, and the ground loop repeats 0g without end
+    ("enumerate --family F1 --energy {deep_flat} --max-size 1", 2,
+     "a member reaches the default part cap of 2 parts, so longer ones may be missing; "
+     "pass --max-parts"),
+    ("enumerate --family F1 --energy {deep_flat} --max-size 1 --max-parts 3", 0,
+     "0g\n0a 0g\n0b 0g\n0a 0b 0g\n1a 0a 0g\n1b 0a 0g\n1b 0b 0g\n1g 0a 0g\n1g 0b 0g\n"
+     "1a 0a 0b 0g\n1b 0a 0b 0g\n1g 0a 0b 0g\n"),
+    ("count --family F1 --energy {deep_flat} --word ab --size 1", 0, "1\n"),
+    ("enumerate --family F1 --energy {ground_loop} --max-size 1 --word ba", 2,
+     "default part cap of 4 parts"),
     ("count --family F2 --energy {strict} --word ab --size 5", 0, "2\n"),
     # O- sizes reach below zero: 0a -2b and 1a -3b
     ("count --family O- --energy {strict} --word ab --size -2", 0, "2\n"),
@@ -464,8 +478,11 @@ def test_exit_codes(capsys, energies, tmp_path, command, code, expected):
     one_color.write_text(ONE_COLOR_TEXT)
     ground_loop = tmp_path / "ground_loop.energy"
     ground_loop.write_text(GROUND_LOOP_TEXT)
+    deep_flat = tmp_path / "deep_flat.energy"
+    deep_flat.write_text(DEEP_FLAT_TEXT)
     argv = shlex.split(command.format(mixed=mixed, strict=strict, non_minimal=non_minimal,
-                                      one_color=one_color, ground_loop=ground_loop))
+                                      one_color=one_color, ground_loop=ground_loop,
+                                      deep_flat=deep_flat))
     got, out, err = run(capsys, *argv)
     assert got == code
     if code == 0:

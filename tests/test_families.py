@@ -611,28 +611,46 @@ def test_r1_needing_a_negative_part_raises_usage_error():
 
 def _recording_walk(generated):
     """A stand-in for ``families._walk`` that keeps every child generated:
-    the plain recursive walk, which runs ``children`` afresh on every visit
-    and, given ``weigh``, weighs each part on every visit as the plain fold."""
+    the plain recursive walk, which runs ``children`` afresh on every visit."""
 
-    def walk(children, root, budget, weigh=None, at_cap=None):
-        found = [] if budget.word else [() if weigh is None else 0]
+    def walk(children, root, budget):
+        found = [] if budget.word else [()]
 
-        def visit(path, total, state):
+        def visit(path, state):
             for part, child_state, keep in children(state):
                 child = path + (part,)
                 generated.append(child)
-                child_total = child if weigh is None else total + weigh(part)
                 if keep:
-                    found.append(child_total)
+                    found.append(child)
                 if len(child) < budget.max_parts:
-                    visit(child, child_total, child_state)
-                elif keep and at_cap:
-                    at_cap(child_total)
+                    visit(child, child_state)
 
-        visit((), 0, root)
+        visit((), root)
         return found
 
     return walk
+
+
+def _plain_path_sum(rule, budget, weigh, capped):
+    """A stand-in for ``families._path_sum``: the plain recursive walk, each
+    part weighed on every visit, its kept paths' weights counted; with
+    UsageError(capped) raised after the walk if a kept path reaches the
+    part cap, and the terminal weighed after that."""
+    paths = _recording_walk([])(rule.children, rule.root, budget)
+    if any(len(path) == budget.max_parts for path in paths):
+        raise UsageError(capped)
+    shift = sum(map(weigh, rule.term))
+    return Counter(sum(map(weigh, path), 0) + shift for path in paths)
+
+
+def _patched(patch, name, stand_in):
+    """Patch ``families.<name>`` with ``stand_in``, and the name that
+    ``characters`` imports, if it imports it."""
+    from partition_forge import characters, families
+
+    for module in (families, characters):
+        if hasattr(module, name):
+            patch.setattr(module, name, stand_in)
 
 
 @pytest.mark.parametrize("tag", ["R1", "O+", "E+", "R2"])
@@ -658,20 +676,15 @@ def _walks_of(monkeypatch, walk, call):
     """Every list of paths that ``call`` gets from ``walk`` standing in for
     ``families._walk``, and what the call returns or the type and message
     of what it raises."""
-    from partition_forge import families
-
     walks = []
 
-    def recorded(children, root, budget, *fold):
-        walks.append(list(walk(children, root, budget, *fold)))
+    def recorded(children, root, budget):
+        walks.append(list(walk(children, root, budget)))
         return walks[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(families, "_walk", recorded)
-        try:
-            result = call()
-        except Exception as error:
-            result = type(error), str(error)
+        _patched(patch, "_walk", recorded)
+        result = outcome(call)
     return walks, result
 
 
@@ -684,6 +697,17 @@ def _assert_walk_is_the_plain_walk(monkeypatch, calls):
     for call in calls:
         assert _walks_of(monkeypatch, driver, call) == _walks_of(
             monkeypatch, _recording_walk([]), call), call
+
+
+def _assert_path_sum_is_the_plain_fold(monkeypatch, calls):
+    # each call gives from the path sum what it gives from the plain
+    # recursive walk folded path by path under the part cap, or raises the
+    # same way
+    for call in calls:
+        with monkeypatch.context() as patch:
+            _patched(patch, "_path_sum", _plain_path_sum)
+            plain = outcome(call)
+        assert outcome(call) == plain, call
 
 
 def test_walk_is_the_plain_walk_on_the_canonical_cases(monkeypatch):
@@ -701,7 +725,7 @@ def test_walk_is_the_plain_walk_on_the_character_routes(monkeypatch):
     calls = [partial(character_lhs, config, order, route) for config in configs
              for order in range(7) for route in ("direct", "transform")]
     assert len(calls) == 7 * 7 * 2
-    _assert_walk_is_the_plain_walk(monkeypatch, calls)
+    _assert_path_sum_is_the_plain_fold(monkeypatch, calls)
 
 
 def test_walk_is_the_plain_walk_on_size_counts(monkeypatch):
@@ -711,7 +735,7 @@ def test_walk_is_the_plain_walk_on_size_counts(monkeypatch):
         calls += [partial(size_counts, tag, energy, colors, word, 6, degree)
                   for word in words for tag, degree in TAG_DEGREES]
     assert len(calls) == 2 * 15 * 10
-    _assert_walk_is_the_plain_walk(monkeypatch, calls)
+    _assert_path_sum_is_the_plain_fold(monkeypatch, calls)
 
 
 def _raising_cases():
@@ -751,54 +775,79 @@ def test_walk_is_the_plain_walk_where_the_rules_raise(monkeypatch):
 
 
 def _assert_fold_is_the_member_walk(tag, colors, energy, budget, degree=None, transform=None):
-    # the walk folded with packed weights gives gf_from_partitions over the
-    # members, and folded with part sizes the Counter of the members' sizes,
-    # or both sides raise the same error
+    # the path sum with packed weights gives gf_from_partitions over the
+    # members, and with part sizes the Counter of the members' sizes, or
+    # both sides raise the same error; the flat rule's states do not hold
+    # the part cap, so where a walked member reaches it, the members are
+    # walked again under twice the cap: if one reaches that too, the family
+    # is infinite and the path sum must raise, else it must sum them all
     from partition_forge import families
     from partition_forge.core import part_size
     from partition_forge.series import _packed_weights, gf_from_partitions
 
-    def fold(weigh):
+    def rule_at(budget):
         if tag is None:
-            rule = families._flat_rule(energy, colors, budget, transform=transform)
-        else:
-            rule = families._rule(tag, energy, colors, budget, degree, transform)
-        return families._fold(rule, budget, weigh)
+            return families._flat_rule(energy, colors, budget, transform=transform)
+        return families._rule(tag, energy, colors, budget, degree, transform)
+
+    def fold(weigh):
+        return families._path_sum(rule_at(budget), budget, weigh, "infinite")
+
+    def reaches_cap(budget):
+        rule = rule_at(budget)
+        paths = families._walk(rule.children, rule.root, budget)
+        return any(len(path) == budget.max_parts for path in paths)
 
     def sizes(found):
         size = {p: part_size(p, energy) for p in set(chain.from_iterable(found))}.__getitem__
         return Counter(sum(map(size, pi)) for pi in found)
 
     order = budget.max_size
-    # a digit holds the part cap's count of a part's colors, degree k or two
-    weigh, read = _packed_weights(colors, energy, transform, budget.max_parts * (degree or 2))
     found = outcome(_walked, tag, colors, energy, budget, degree, transform)
+    case = tag, degree, energy, budget, transform
+    cut = tag in (None, "F1", "F2", "Fk") and isinstance(found, list) and reaches_cap(budget)
+    walked = Budget(order, 2 * budget.max_parts, budget.word) if cut else budget
+    # a digit holds the part cap's count of a part's colors, degree k or two
+    weigh, read = _packed_weights(colors, energy, transform, walked.max_parts * (degree or 2))
+    if cut and reaches_cap(walked):
+        with pytest.raises(UsageError, match="infinite"):
+            fold(weigh)
+        return "infinite"
+    if cut:
+        found = outcome(_walked, tag, colors, energy, walked, degree, transform)
     if isinstance(found, list):
         summed = outcome(gf_from_partitions, found, colors, energy, order, transform)
         counted = sizes(found)
     else:
         summed = counted = found
-    case = tag, degree, energy, budget, transform
     assert outcome(lambda: read(fold(weigh), order)) == summed, case
     assert outcome(fold, partial(part_size, energy=energy)) == counted, case
+    return "cut" if cut else "walked"
 
 
 def test_fold_is_the_member_walk_on_the_canonical_cases():
-    for tag, degree, colors, energy, budget in _canonical_cases():
-        _assert_fold_is_the_member_walk(tag, colors, energy, budget, degree)
+    # a flat family can reach the catalog's part cap, finite or infinite
+    kinds = Counter(_assert_fold_is_the_member_walk(tag, colors, energy, budget, degree)
+                    for tag, degree, colors, energy, budget in _canonical_cases())
+    assert set(kinds) == {"walked", "cut", "infinite"}, kinds
 
 
 def test_fold_is_the_member_walk_where_the_rules_raise():
     for tag, colors, energy, budget, transform in _raising_cases():
-        _assert_fold_is_the_member_walk(tag, colors, energy, budget, transform=transform)
+        assert _assert_fold_is_the_member_walk(
+            tag, colors, energy, budget, transform=transform) == "walked"
 
 
 def test_size_counts_is_the_member_walk():
-    # both shipped energies, every {a, b} word of length 0 to 3, sizes 6 and 15
+    # both shipped energies, every {a, b} word of length 0 to 3, every size
+    # up to 30: the sizes of the members walked, each shorter than its cap
     for colors, energy in (strict_energy(), mixed_energy()):
         words = [w(colors, "".join(t)) for n in range(4) for t in product("ab", repeat=n)]
-        for word, size, (tag, degree) in product(words, (6, 15), TAG_DEGREES):
-            found = walk_members(tag, energy, colors, Budget(size, word=word), degree=degree)
+        for word, size, (tag, degree) in product(words, range(31), TAG_DEGREES):
+            budget = Budget(size, word=word)
+            found = walk_members(tag, energy, colors, budget, degree=degree)
+            term = tag in GROUNDED_TAGS + ("Fk",)  # the terminal is past the cap
+            assert all(len(pi) - term < budget.max_parts for pi in found)
             assert size_counts(tag, energy, colors, word, size, degree) == Counter(
                 partition_size(pi, energy) for pi in found), (tag, degree, word, size)
 
@@ -819,24 +868,29 @@ def test_size_counts_refuses_an_infinite_count():
     assert size_counts("R1", energy, colors, word, 3) == Counter({1: 1, 2: 1, 3: 2})
 
 
-def _expansions(monkeypatch, walk, call):
-    """Per walk that ``call`` makes through ``walk``, standing in for
-    ``families._walk``, a Counter of the times ``children`` ran on each state."""
-    from partition_forge import families
-
+def _expansions(monkeypatch, name, stand_in, call):
+    """Per walk that ``call`` makes through ``stand_in``, standing in for
+    ``families._walk`` or ``families._path_sum`` as ``name`` says, a Counter
+    of the times ``children`` ran on each state."""
     counts = []
 
-    def counting(children, root, budget, *fold):
+    def counting(children):
         counts.append(Counter())
 
         def counted(state, seen=counts[-1]):
             seen[state] += 1
             return children(state)
 
-        return walk(counted, root, budget, *fold)
+        return counted
+
+    def walk(children, root, budget):
+        return stand_in(counting(children), root, budget)
+
+    def path_sum(rule, *args):
+        return stand_in(rule._replace(children=counting(rule.children)), *args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(families, "_walk", counting)
+        _patched(patch, name, walk if name == "_walk" else path_sum)
         call()
     return counts
 
@@ -845,18 +899,18 @@ def test_the_walk_expands_each_state_once(monkeypatch):
     from partition_forge import families
     from partition_forge.characters import build_config, character_lhs
 
-    def expansions(walk, call):
+    def expansions(name, stand_in, call):
         # (states, visits): equal when each state is expanded once
-        counts = _expansions(monkeypatch, walk, call)
+        counts = _expansions(monkeypatch, name, stand_in, call)
         return sum(map(len, counts)), sum(sum(seen.values()) for seen in counts)
 
-    # each Bn1-Ln route at rank 3 and order 6 walks 87 states, which the
-    # plain walk expands 21,120 times
+    # each Bn1-Ln route at rank 3 and order 6 sums over 87 states, which
+    # the plain walk expands 21,120 times
     config = build_config("Bn1-Ln", 3)
     for route in ("direct", "transform"):
         call = partial(character_lhs, config, 6, route)
-        assert expansions(families._walk, call) == (87, 87)
-        assert expansions(_recording_walk([]), call) == (87, 21120)
+        assert expansions("_path_sum", families._path_sum, call) == (87, 87)
+        assert expansions("_path_sum", _plain_path_sum, call) == (87, 21120)
     # the 37 catalog R1 walks at Budget(7, 7): 3,283 states, 26,708 visits
     energies = small_energies()
     assert len(energies) == 37
@@ -865,8 +919,8 @@ def test_the_walk_expands_each_state_once(monkeypatch):
         for colors, energy in energies:
             walk_members("R1", energy, colors, Budget(7, 7))
 
-    assert expansions(families._walk, catalog) == (3283, 3283)
-    assert expansions(_recording_walk([]), catalog) == (3283, 26708)
+    assert expansions("_walk", families._walk, catalog) == (3283, 3283)
+    assert expansions("_walk", _recording_walk([]), catalog) == (3283, 26708)
 
 
 def test_huge_part_caps_stay_cheap():
@@ -876,3 +930,22 @@ def test_huge_part_caps_stay_cheap():
         for tag in ("R1", "O+", "E+", "R2"):
             assert members(tag, energy, colors, Budget(3, 10**6)) == members(
                 tag, energy, colors, Budget(3, 4)), tag
+
+
+def test_path_sum_drops_each_state_once_summed():
+    # F1 with the word ab at size 400 on the strict energy: every state's
+    # sums held to the end peak near 7 MB, dropped once their last row is
+    # summed near 0.5 MB
+    import tracemalloc
+
+    colors, energy = strict_energy()
+    word = w(colors, "ab")
+    tracemalloc.start()
+    try:
+        counts = size_counts("F1", energy, colors, word, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+    found = walk_members("F1", energy, colors, Budget(400, word=word))
+    assert counts == Counter(partition_size(pi, energy) for pi in found)

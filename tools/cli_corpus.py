@@ -10,7 +10,7 @@ command at both commits:
     python tools/cli_corpus.py
 
 The energies are the two shipped files and copies of the non-minimal,
-one-color, sinking and ground-loop energy texts that the tests use,
+one-color, sinking, ground-loop and deep-flat energy texts that the tests use,
 written to a temporary directory; both directories are replaced by fixed
 names before hashing, so the digests do not depend on where the checkout
 lives.  The inputs of the maps are the first members that the corpus's own
@@ -40,6 +40,8 @@ TEXTS = {
     "sinking": "a b g\ng\n0 -1 1\n-1 0 1\n0 0 0\n",  # sizes can sink
     # eps(b, a) = -1: F1 counts of the word ba are infinite from size 1
     "ground_loop": "a b g\ng\n0 0 1\n-1 0 1\n0 0 0\n",
+    # eps(a, b) = eps(b, g) = 0: a finite F1 family outgrows the default part cap
+    "deep_flat": "a b g\ng\n1 0 0\n1 1 0\n1 1 0\n",
 }
 WORDS = (None, "", "a", "ab", "ba")
 FIRST = 12  # map inputs per family and energy
