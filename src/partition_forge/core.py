@@ -12,8 +12,8 @@ with the zero part of the distinguished ground color.
 
 Everything here is immutable (a color system only caches its non-ground
 indices, and an energy only memoizes its ground delta, one value per ground
-index) and all relation predicates are pure functions, so values can be
-shared freely.
+index, and the primary parts that the maps return) and all relation
+predicates are pure functions, so values can be shared freely.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from typing import NamedTuple
 
 
@@ -83,6 +84,20 @@ class ColorSystem:
         return self.names[c]
 
 
+class _Parts(dict):
+    """The ``Primary`` part of each ``(size, color)`` key, built once, on
+    first lookup, without the namedtuple's Python-level constructor.
+
+    Its fields are exact ints: keys equal as ``(False, 2)`` and ``(0, 2)``
+    share one part, which must not carry the type of whichever came first.
+    """
+
+    def __missing__(self, key):
+        size, color = key
+        part = self[key] = tuple.__new__(Primary, (index(size), index(color)))
+        return part
+
+
 @dataclass(frozen=True)
 class EnergyMatrix:
     """Integer energy on ordered color pairs, stored as a dense square table."""
@@ -96,9 +111,11 @@ class EnergyMatrix:
             if len(row) != len(rows):
                 raise EnergyStructureError("energy table must be square")
         # the maps check minimality and read delta_g on every call: check
-        # once, and let ground_delta fill the memo
+        # once, and let ground_delta fill the memo; the maps' parts come
+        # from one table per energy
         object.__setattr__(self, "minimal", all(v in (0, 1) for row in rows for v in row))
         object.__setattr__(self, "_delta", {})
+        object.__setattr__(self, "_parts", _Parts())
 
     @property
     def n(self):

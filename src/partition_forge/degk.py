@@ -23,7 +23,7 @@ def gamma_parts(part, energy):
     sizes = [part[0]]
     for u in range(len(word) - 1, 0, -1):
         sizes.append(sizes[-1] + ev[word[u - 1]][word[u]])
-    return list(map(Primary, reversed(sizes), word))
+    return list(map(energy._parts.__getitem__, zip(reversed(sizes), word)))
 
 
 def flatten_k(pi, energy, colors, k):

@@ -111,12 +111,13 @@ def flat_members(draw, min_colors=4, max_colors=5):
 
 
 @st.composite
-def regular_members(draw, min_colors=4, max_colors=5):
+def regular_members(draw, min_colors=4, max_colors=5, max_word=8, max_residual=6):
     """A regular member is its word's skeleton plus a weakly decreasing
-    non-negative residual."""
+    non-negative residual, of at most ``max_word`` parts each at most
+    ``max_residual``."""
     colors, energy = draw(minimal_energies(min_colors, max_colors))
-    word = draw(st.lists(st.sampled_from(colors.non_ground), max_size=8))
-    residual = sorted(draw(st.lists(st.integers(0, 6), min_size=len(word),
+    word = draw(st.lists(st.sampled_from(colors.non_ground), max_size=max_word))
+    residual = sorted(draw(st.lists(st.integers(0, max_residual), min_size=len(word),
                                     max_size=len(word))), reverse=True)
     skeleton = flat_sizes(tuple(word) + (colors.ground,), energy, colors)
     body = tuple(Primary(s + r, c) for s, r, c in zip(skeleton, residual, word))

@@ -39,6 +39,7 @@ from partition_forge.core import (
     secondary_size,
     validate_energy,
 )
+from partition_forge.deg1 import decompose, omega, omega_inv
 from partition_forge.degk import gamma_parts
 
 from helpers import MIXED_TEXT, STRICT_TEXT, mixed_energy, small_energies, strict_energy, w
@@ -154,10 +155,17 @@ def test_ground_delta_keeps_no_energy_alive():
     colors = ColorSystem(("kept_a", "kept_b", "kept_g"), 2)
     energy = EnergyMatrix(((0, 23571, 1), (-23571, 0, 1), (0, 0, 0)))
     assert ground_delta(energy, colors) == 0
-    refs = weakref.ref(energy), weakref.ref(colors)
-    del energy, colors
+    # nor do the parts that the maps build and each energy keeps in its table
+    regular = (Primary(1, 0), Primary(0, 2))
+    assert decompose(regular, energy, colors)[1] == (0,)
+    minimal = EnergyMatrix(((1, 0, 1), (0, 0, 1), (0, 0, 0)))
+    flat = omega_inv((Primary(3, 0),) + regular, minimal, colors)
+    assert omega(flat, minimal, colors)[0] == Primary(3, 0)
+    assert energy._parts and len(minimal._parts) > 3
+    refs = weakref.ref(energy), weakref.ref(colors), weakref.ref(minimal)
+    del energy, colors, minimal
     gc.collect()
-    assert [ref() for ref in refs] == [None, None]
+    assert [ref() for ref in refs] == [None, None, None]
 
 
 def test_ground_delta_memo_checks_size_labels_and_ground():

@@ -1,4 +1,5 @@
-from itertools import product
+import pickle
+from itertools import chain, product
 from typing import NamedTuple
 
 import pytest
@@ -18,6 +19,7 @@ from partition_forge.core import (
     partition_size,
 )
 from partition_forge.deg1 import decompose, omega, omega_inv, recompose
+from partition_forge.degk import gamma_parts
 from partition_forge.families import Budget, members, validate_member
 
 from helpers import (
@@ -103,7 +105,7 @@ NOT_MINIMAL = "the degree-one maps need a minimal energy, every eps in {0, 1}"
 
 def test_maps_refuse_every_non_minimal_energy():
     # every ground-compatible energy on colors a b g with entries 0-3 and
-    # one above 1: the staircase assumes eps in {0, 1}, and on eps(b, b) = 2
+    # one above 1: the scan assumes eps in {0, 1}, and on eps(b, b) = 2
     # omega took 2b 1g 1b 0g (size 4) to 4b 1b 0g (size 5)
     colors = ColorSystem(("a", "b", "g"), 2)
     trivial = (Primary(0, 2),)
@@ -199,6 +201,78 @@ def test_degree_one_messages_and_precedence(tag, pi, message):
         with pytest.raises(InvalidPartitionError) as info:
             check()
         assert str(info.value) == message
+
+
+def _forward_table(colors, energy, budget):
+    """The inverse of omega, as the table of its images of the F1 members."""
+    return {omega(pi, energy, colors): pi for pi in members("F1", energy, colors, budget)}
+
+
+def test_omega_inv_inverts_the_forward_table_on_the_catalog():
+    # an R1 member within Budget(6, 6) has at most 5 colored parts, and its
+    # preimage adds at most 6 ground parts, one per unit of its residual's
+    # largest part
+    checked = 0
+    for colors, energy in small_energies():
+        table = _forward_table(colors, energy, Budget(6, 12))
+        for pi in members("R1", energy, colors, Budget(6, 6)):
+            assert omega_inv(pi, energy, colors) == table[pi]
+            checked += 1
+    assert len(small_energies()) == 37 and checked > 5000
+
+
+@given(regular_members(max_word=4, max_residual=12))
+@settings(max_examples=100, deadline=None)
+def test_omega_inv_inverts_the_forward_table_on_random_energies(case):
+    # the F1 members of the regular member's word and size, past the
+    # catalog's colors and regular_members' default residual
+    colors, energy, pi = case
+    word = tuple(p.color for p in pi[:-1])
+    table = _forward_table(colors, energy, Budget(partition_size(pi, energy), word=word))
+    assert omega_inv(pi, energy, colors) == table[pi]
+
+
+def test_maps_share_one_part_table_per_energy():
+    colors, energy = mixed_energy()
+    budget = Budget(7, 6)
+    flats = members("F1", energy, colors, budget)
+    regulars = members("R1", energy, colors, budget)
+    outs = ([omega(pi, energy, colors) for pi in flats]
+            + [omega_inv(pi, energy, colors) for pi in regulars]
+            + [decompose(pi, energy, colors)[0] for pi in regulars]
+            + [tuple(gamma_parts(p, energy)) for pi in flats for p in pi])
+    # equal parts from one energy are one object, a Primary
+    parts = {}
+    for p in chain.from_iterable(outs):
+        assert type(p) is Primary and parts.setdefault(p, p) is p
+    assert len(parts) == len(energy._parts)
+    # a part's fields are ints, whatever equal values the first caller passed
+    fresh = EnergyMatrix(energy.values)
+    (terminal,) = omega((ForeignPart(False, colors.ground),), fresh, colors)
+    assert repr(terminal) == "Primary(size=0, color=2)"
+    assert omega(flats[-1], fresh, colors)[-1] is terminal
+    # an equal energy has its own table, and builds equal parts afresh
+    again = EnergyMatrix(energy.values)
+    assert again == energy and again._parts == {}
+    for pi in flats:
+        image = omega(pi, again, colors)
+        assert image == omega(pi, energy, colors)
+        assert all(q is again._parts[q] and q is not parts[q] for q in image)
+
+
+def test_energy_with_a_filled_part_table_pickles():
+    colors, energy = mixed_energy()
+    flat = parse_partition(FLAT_TEXT, colors, energy)
+    regular = omega(flat, energy, colors)
+    assert len(energy._parts) > 5
+    fresh = EnergyMatrix(energy.values)
+    copy = pickle.loads(pickle.dumps(energy))
+    for other in (fresh, copy):
+        assert other == energy and energy == other and hash(other) == hash(energy)
+    assert repr(energy) == repr(fresh)
+    # the copy carries its own table, and maps as the original does
+    assert copy._parts == energy._parts and copy._parts is not energy._parts
+    assert omega_inv(regular, copy, colors) == flat and omega(flat, copy, colors) == regular
 
 
 def _roundtrip_families(colors, energy, max_size, max_parts):
