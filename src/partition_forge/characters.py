@@ -161,8 +161,10 @@ def verify_character(family, rank, order):
     direct = character_lhs(config, order, route="direct")
     via_transform = character_lhs(config, order, route="transform")
     rhs = character_rhs(config, order)
+    # packed rows of one digit width compare row by row; of two widths
+    # (a wider flat side), both sides are unpacked
     paths_agree = direct == via_transform
-    lhs_equals_rhs = direct == rhs  # unpacks rhs's packed rows, so it runs once
+    lhs_equals_rhs = direct == rhs
     report = {
         "family": family,
         "rank": rank,
@@ -217,10 +219,11 @@ def _walk_gf(rule, budget, setup, per_part, capped):
     transformation) setup, up to the budget's size: the path sum
     (``families._path_sum``, raising UsageError(capped) on a cycle that
     kept paths leave), each part weighed once per distinct state by
-    ``_packed_weights``.  A member's count of one color is at most the
-    part cap times ``per_part``, the most colors one part carries, and
-    that sets the digit width: the caller shows that no member it sums
-    has more parts than the cap."""
+    ``_packed_weights``, and the distinct sums kept packed in the rows of a
+    ``PackedRows``.  A member's count of one color is at most the part cap
+    times ``per_part``, the most colors one part carries, and that sets the
+    digit width: the caller shows that no member it sums has more parts
+    than the cap."""
     colors, energy, transform = setup
     weigh, read = _packed_weights(colors, energy, transform, per_part * budget.max_parts)
     return read(_path_sum(rule, budget, weigh, capped), budget.max_size)

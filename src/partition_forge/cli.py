@@ -55,15 +55,16 @@ def _partition_json(pi, colors, energy):
 # classical partition of each n, about 2.3x more memory per +5 of order
 # (order 50: 3-7 s, 392-401 MB).  Its residue identities build an m x m
 # energy (keith_xiong m = 1000, order 2: 3.1 s), and their columns grow with
-# m too (keith_xiong m = 10, order 50: 15 s, 0.9 GB, of which the two
-# classical residue columns take 11 s and the two path sums 3.8 s and
-# 0.3 GB).  A character's path sum grows with both rank and order (A2n2
-# rank 2, order 40: 0.1 s; rank 200, order 2: 6 s, 0.8 GB), and can be
-# slow inside the limits (Bn1-Ln rank 4, order 10: 0.85-1.0 s, 106 MB;
-# rank 5, order 10: 8 s, 0.5 GB).  An Fk walk builds all n^k color words
-# first (3^10 words: 0.7 s, 3^12: 5.6 s).  flatten --invert pads its last
-# group with zero ground parts up to the degree, so time and memory grow
-# linearly in it (degree 10^6: 0.7 s, 54 MB; 3 x 10^6: 2.0 s, 130 MB).
+# m too (keith_xiong m = 10, order 50: 15-17 s, 0.85 GB, of which the two
+# path sums take 2.6-3.0 s and 0.18 GB and the two classical residue
+# columns most of the rest).  A character's path sum grows with both rank
+# and order (A2n2 rank 2, order 40: 0.1 s; rank 200, order 2: 5.5 s,
+# 0.7 GB), and can be slow inside the limits (Bn1-Ln rank 4, order 10:
+# 0.6-0.9 s, 58 MB; rank 5, order 10: 7 s, 0.5 GB).  An Fk walk builds
+# all n^k color words first (3^10 words: 0.7 s, 3^12: 5.6 s).  flatten
+# --invert pads its last group with zero ground parts up to the degree, so
+# time and memory grow linearly in it (degree 10^6: 0.7 s, 54 MB; 3 x 10^6:
+# 2.0 s, 130 MB).
 # count and verify-deg2 sum over the rule's states and build no member,
 # and the regular families, whose states seldom meet, cost the most
 # (count --word abab at size 100: 0.02 s for F1 and F2; verify-deg2 --word

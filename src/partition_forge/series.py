@@ -10,7 +10,8 @@ its non-ground colors as one packed int (the degree above the color-count
 digits), so a partition's weight is the sum of its parts', and from then on
 the colors commute.  ``gf_from_partitions`` weighs each distinct part of a
 member list once; ``characters`` weighs the parts of a path sum
-(``families._path_sum``) and reads the sums back the same way.
+(``families._path_sum``).  Both read the distinct sums into rows by degree
+as they are, with no unpacking.
 
 ``pochhammer_expand`` does not build a series per factor.  It keeps the
 running product as rows by q-degree, and keys each row by one packed int per
@@ -19,10 +20,12 @@ ladder step updates the rows in place: a binomial ``(1 + sign m q^a)`` is a
 shift-and-add, a geometric ``1 / (1 - m q^a)`` a running recurrence
 (``sign`` is ignored on reciprocal factors).  The result keeps those rows:
 its ``coeffs`` is a ``PackedRows``, a read-only ``Mapping`` from
-``(d, exps)`` to the coefficient that counts and sums the rows as they are
-and answers every other read, a lookup included, from one ``_unpacked()``
-dict of every key, built per call.  Every other series keeps a plain dict,
-and ``TruncatedSeries`` reads either through the ``Mapping`` interface.
+``(d, exps)`` to the coefficient.  So are the coefficients of
+``gf_from_partitions`` and of the path sums.  A view counts and sums its
+rows, looks a key up by packing it, and compares with a view of the same
+layout row by row; it unpacks every key only to iterate, or to compare
+across layouts.  Every other series keeps a plain dict, and
+``TruncatedSeries`` reads either through the ``Mapping`` interface.
 
 The public ``TruncatedSeries(order, nvars, coeffs)`` checks every term.  The
 results this module builds (sums, negations, products, ``pochhammer_expand``
@@ -114,7 +117,7 @@ class TruncatedSeries:
 
     def __add__(self, other):
         self._check(other)
-        coeffs = dict(self.coeffs.items())  # a lookup on packed rows unpacks them all
+        coeffs = dict(self.coeffs.items())  # a tuple-keyed copy to add into
         for key, v in other.coeffs.items():
             w = coeffs.get(key, 0) + v
             if w:
@@ -285,12 +288,15 @@ class PackedRows(Mapping):
     """Read-only ``(d, exps) -> coeff`` view of rows by q-degree of packed keys.
 
     ``rows[d]`` maps each packed exponent key to its nonzero coefficient of
-    q^d, in ``_digits``'s layout of ``width``-bit digits.  ``len`` and
-    ``TruncatedSeries.q_coefficients`` read the rows as they are.  Every
-    other read, a lookup included, goes through one ``_unpacked()`` dict
-    per call, so a caller with many lookups takes ``dict(view.items())``
-    once.  The view keeps only the width, not the ``struct`` unpacker, so
-    it pickles and copies.
+    q^d, in ``_digits``'s layout of ``width``-bit digits; rows past the
+    last degree may be empty.  ``len`` and ``TruncatedSeries.q_coefficients``
+    read the rows as they are, and a lookup packs its key.  Two views of
+    the same width and ``nvars`` compare row by row, since one layout packs
+    each ``(d, exps)`` to one key.  Iteration, and comparison with anything
+    else, go through one ``_unpacked()`` dict of every key per call, so a
+    caller that iterates often takes ``dict(view.items())`` once.  The view
+    keeps only the width, not the ``struct`` unpacker, so it pickles and
+    copies.
     """
 
     __slots__ = ("rows", "nvars", "width")
@@ -305,7 +311,18 @@ class PackedRows(Mapping):
         return sum(map(len, self.rows))
 
     def __getitem__(self, key):
-        return self._unpacked()[key]
+        # the key packed at the view's width; a degree outside the rows, a
+        # vector of the wrong length or a digit past the width could alias
+        # another key, so each misses
+        w = self.width
+        half = 1 << (w - 1)
+        try:
+            d, exps = key
+            if d >= 0 and len(exps) == self.nvars and all(-half <= e < half for e in exps):
+                return self.rows[d][sum(e << w * i for i, e in enumerate(exps))]
+        except (TypeError, ValueError, IndexError, KeyError):
+            pass
+        raise KeyError(key)
 
     def _unpacked(self):
         # every key read back to (d, exps) in C
@@ -323,6 +340,12 @@ class PackedRows(Mapping):
         return iter(self._unpacked())
 
     def __eq__(self, other):
+        if (isinstance(other, PackedRows) and self.width == other.width
+                and self.nvars == other.nvars):
+            # one layout, so one key per (d, exps): compare the rows, and
+            # the longer view's extra rows must be empty
+            short, long = sorted((self.rows, other.rows), key=len)
+            return long[:len(short)] == short and not any(long[len(short):])
         return self._unpacked() == other
 
 
@@ -414,16 +437,17 @@ def _packed_weights(colors, energy, transform, most):
     ``weigh(part)`` is the int ``(degree << top) + sum(1 << width * var(c))``
     over the part's non-ground colors c, its degree its size or under a
     transformation its ``part_degree``.  A digit is wide enough for a count
-    of ``most``, with a sign bit to spare: the counts are never negative, so
-    the unpacking needs no bias.  ``read(counts, order)`` unpacks only the
-    distinct sums, by ``_digits``, each to ``q^d x^e`` with its count, and
-    drops those past ``order``.  A part of negative degree weighs a
-    ``_Negative``, so ``read`` raises UsageError naming the first such part
-    of the first sum that holds one: only the parts of a sum are checked.
+    of ``most``, with a sign bit to spare, so the digits below ``top`` are
+    a key of ``_digits``'s layout.  ``read(counts, order)`` files each
+    distinct sum's count under that key in the row of its degree, drops
+    the sums past ``order``, and returns the rows as a ``PackedRows``: no
+    sum is unpacked.  A part of negative degree weighs a ``_Negative``, so
+    ``read`` raises UsageError naming the first such part of the first sum
+    that holds one: only the parts of a sum are checked.
     """
     var = {c: i for i, c in enumerate(colors.non_ground)}
     nvars = len(var)
-    width, _, size, unpack = _digits(most.bit_length() + 1, nvars)
+    width = _digits(most.bit_length() + 1, nvars)[0]
     top = width * nvars
     mask = (1 << top) - 1
 
@@ -434,11 +458,13 @@ def _packed_weights(colors, energy, transform, most):
         return (pd << top) + sum(1 << width * var[c] for c in part_color_seq(p) if c in var)
 
     def read(counts, order):
-        for key in counts:
+        rows = [{} for _ in range(order + 1)]
+        for key, v in counts.items():
             if type(key) is _Negative:
                 raise UsageError("negative transformed degree for part %r" % (key.part,))
-        return TruncatedSeries._of(order, nvars, {
-            (key >> top, unpack((key & mask).to_bytes(size, "little"))): v
-            for key, v in counts.items() if key >> top <= order})
+            d = key >> top
+            if d <= order:
+                rows[d][key & mask] = v
+        return TruncatedSeries._of(order, nvars, PackedRows(rows, nvars, width))
 
     return weigh, read

@@ -446,6 +446,84 @@ def test_character_fold_raises_as_the_member_sum():
     assert set(outcomes) == {"series", "zero-charge", "negative"}, outcomes
 
 
+def _tuple_keyed_read(colors, most):
+    """``read`` of ``series._packed_weights`` as it was when it unpacked each
+    distinct sum to a ``(d, exps)`` key: the reference for the packed rows."""
+    nvars = len(colors.non_ground)
+    width, _, size, unpack = series._digits(most.bit_length() + 1, nvars)
+    top = width * nvars
+    mask = (1 << top) - 1
+
+    def read(counts, order):
+        for key in counts:
+            if type(key) is series._Negative:
+                raise UsageError("negative transformed degree for part %r" % (key.part,))
+        return {(key >> top, unpack((key & mask).to_bytes(size, "little"))): v
+                for key, v in counts.items() if key >> top <= order}
+
+    return read
+
+
+def _pin_reads(monkeypatch):
+    """Check every ``read`` of the path sums in ``characters`` against the
+    tuple-keyed one; returns the list of outcomes checked."""
+    real = characters._packed_weights
+    checked = []
+
+    def pinned(colors, energy, transform, most):
+        weigh, read = real(colors, energy, transform, most)
+        reference = _tuple_keyed_read(colors, most)
+
+        def both(counts, order):
+            want = outcome(reference, counts, order)
+            got = outcome(read, counts, order)
+            if isinstance(got, TruncatedSeries):
+                assert isinstance(got.coeffs, PackedRows)
+                assert dict(got.coeffs.items()) == want
+                checked.append("series")
+                return got
+            assert got == want
+            checked.append(got[1].split(" ")[0])
+            raise got[0](got[1])
+
+        return weigh, both
+
+    monkeypatch.setattr(characters, "_packed_weights", pinned)
+    return checked
+
+
+def test_packed_read_is_the_tuple_keyed_read(monkeypatch):
+    checked = _pin_reads(monkeypatch)
+    # both routes of every family at ranks 2 and 3 (B from 3), orders 0-8
+    for family in CHARACTER_FAMILIES:
+        for rank in (2, 3):
+            if (family, rank) == ("Bn1-Ln", 2):
+                continue
+            config = build_config(family, rank)
+            for order, route in product(range(9), ("direct", "transform")):
+                character_lhs(config, order, route)
+    assert checked == ["series"] * 7 * 9 * 2
+    # the walked columns of the named identities
+    for m in (2, 3, 4):
+        characters._walked(keith_xiong_setup(m), 12, flat_colored="F1", regular_colored="R1")
+    characters._walked(glaisher_analogue_setup(3), 12, flat_colored="F1", regular_colored="R1")
+    characters._walked(siladic_setup(), 16, A="R2", B="F2", primary="O+")
+    assert checked == ["series"] * (7 * 9 * 2 + 2 * 4 + 3)
+
+
+def test_packed_read_raises_as_the_tuple_keyed_read(monkeypatch):
+    # the catalog sweep at order 1: a part of negative degree is refused
+    # with the same message, where no zero-charge cycle comes first
+    checked = _pin_reads(monkeypatch)
+    for colors, energy in small_energies():
+        for scale, shifts in product((1, 2), product((-2, -1, 0), repeat=colors.n)):
+            config = CrystalConfig("catalog", 1, colors, energy, energy,
+                                   SizeTransform(scale, shifts), ())
+            for route in ("direct", "transform"):
+                outcome(character_lhs, config, 1, route)
+    assert set(checked) == {"series", "negative"}, Counter(checked)
+
+
 def test_character_digit_width_comes_from_the_part_cap():
     # A2n2 at rank 2 has five colors, so the cap is 126 at order 20 and 132
     # at order 21: a color count takes a byte, then two; the members are

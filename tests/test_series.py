@@ -355,8 +355,16 @@ def test_packed_view_reads_like_its_dict(case):
         assert view.get(key) == v and view[key] == v and key in view
     zeros = (0,) * nvars
     wrong_lengths = [(0, zeros + (0,))] + [(0, zeros[1:])] * (nvars > 0)
-    for miss in [(-1, zeros), (order + 1, zeros), "q", 7] + wrong_lengths:
+    # a digit at either end of the signed range: +half is past the width,
+    # and -half fits but no product here reaches it
+    half = 1 << (view.width - 1)
+    edges = [(d, zeros[:i] + (e,) + zeros[i + 1:])
+             for d in range(order + 1) for i in range(nvars) for e in (half, -half)]
+    for miss in [(-1, zeros), (order + 1, zeros), "q", 7] + wrong_lengths + edges:
+        assert miss not in plain
         assert view.get(miss) is None and miss not in view
+        with pytest.raises(KeyError):
+            view[miss]
     plain_series = _dict_backed(packed)
     assert packed == plain_series and plain_series == packed
     assert hash(packed) == hash(plain_series)
@@ -404,6 +412,63 @@ def test_packed_and_dict_series_compare_across_layouts():
     other = TruncatedSeries(2, 2, {(0, (0, 0)): 1, (1, (0, 2)): 1})
     for a in (wide, narrow):
         assert a != other and other != a and a.coeffs != other.coeffs
+
+
+def _packed(plain, nvars, width, empty_rows):
+    """The view of ``{(d, exps): v}`` at ``width``-bit digits, with
+    ``empty_rows`` empty rows past its last degree."""
+    rows = [{} for _ in range(max((d for d, _ in plain), default=-1) + 1 + empty_rows)]
+    for (d, exps), v in plain.items():
+        rows[d][sum(e << width * i for i, e in enumerate(exps))] = v
+    return PackedRows(rows, nvars, width)
+
+
+@st.composite
+def packed_pairs(draw):
+    """Two views and the dicts they stand for: the second the first, or it
+    with one key or one value changed, with one more term past its last
+    degree, at the other width, or with one more variable; each with its
+    own number of trailing empty rows."""
+    nvars = draw(st.integers(0, 3))
+    exps = st.tuples(*[st.integers(-128, 127)] * nvars)
+    key = st.tuples(st.integers(0, 4), exps)
+    value = st.integers(-3, 3).filter(bool)
+    plain = draw(st.dictionaries(key, value, max_size=8))
+    width = draw(st.sampled_from((8, 16)))
+    change = draw(st.sampled_from(("none", "key", "value", "extra", "width", "nvars")))
+    other, other_nvars, other_width = dict(plain), nvars, width
+    if change in ("key", "value") and plain:
+        k = draw(st.sampled_from(sorted(plain)))
+        v = other.pop(k)
+        if change == "key":
+            other[draw(key)] = v
+        else:
+            other[k] = v + draw(value)
+        other = {k: v for k, v in other.items() if v}
+    elif change == "extra":
+        other[(max((d for d, _ in plain), default=-1) + 1, draw(exps))] = draw(value)
+    elif change == "width":
+        other_width = 24 - width
+    elif change == "nvars":
+        other, other_nvars = {(d, e + (0,)): v for (d, e), v in plain.items()}, nvars + 1
+    empty = st.integers(0, 2)
+    return (_packed(plain, nvars, width, draw(empty)), plain,
+            _packed(other, other_nvars, other_width, draw(empty)), other)
+
+
+@given(packed_pairs())
+@settings(max_examples=300, deadline=None)
+def test_packed_equality_is_the_unpacked_equality(case):
+    a, plain_a, b, plain_b = case
+    assert dict(a.items()) == plain_a and dict(b.items()) == plain_b
+    same = plain_a == plain_b
+    assert (a == b) == (b == a) == same and (a != b) == (b != a) == (not same)
+    assert (a == plain_b) == (plain_b == a) == same
+    for view, plain in ((a, plain_a), (b, plain_b)):
+        order = max(len(view.rows) - 1, 0)
+        packed = TruncatedSeries._of(order, view.nvars, view)
+        twin = TruncatedSeries(order, view.nvars, plain)
+        assert packed == twin and twin == packed and hash(packed) == hash(twin)
 
 
 def test_cancelling_product_keeps_no_zero():
