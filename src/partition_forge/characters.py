@@ -127,15 +127,16 @@ def character_lhs(config, order, route="direct"):
     raised.  There are finitely many states within the charge, so every
     infinite coefficient shows as such a cycle.
 
-    The digit width comes from the part cap ``(order + 1) * (n + 1)``, n
-    the number of colors.  A part of charge zero has at most one size per
-    color, so at most n kinds.  A member of charge at most ``order`` has at
-    most ``order`` other parts, which split the rest into at most ``order +
-    1`` runs.  So a member with ``(order + 1) * (n + 1)`` parts before its
-    terminal repeats a part, and with it the state, inside one run: a
-    cycle, which is refused.  Every member summed is shorter than the cap,
-    and a primary part carries one color and the terminal none, so a digit
-    holds any member's count of one color.
+    A digit of ``_walk_gf`` holds a count of ``2 * (order + 1)``, and no
+    member summed carries one color more than ``2 * order + 1`` times.
+    Every part is primary, of one color, and every charge is a positive or
+    a zero integer.  At most ``order`` parts have a positive charge, and
+    they split the rest of a member into at most ``order + 1`` runs of
+    zero-charge parts.  A zero-charge part has one size per color, so a
+    color repeated inside a run repeats its part and with it the state:
+    a cycle, which the path sum refuses.  So a color appears at most once
+    in each run and once in each positive part.  The part cap is not read:
+    the flat rule's states alone bound a path.
     """
     if route == "direct":
         energy, transform = config.energy_prime, None
@@ -143,9 +144,9 @@ def character_lhs(config, order, route="direct"):
         energy, transform = config.energy, config.transform
     else:
         raise UsageError("route must be 'direct' or 'transform'")
-    budget = Budget(order, (order + 1) * (config.colors.n + 1))
+    budget = Budget(order)
     rule = _flat_rule(energy, config.colors, budget, transform=transform)
-    return _walk_gf(rule, budget, (config.colors, energy, transform), 1,
+    return _walk_gf(rule, budget, (config.colors, energy, transform),
                     "zero-charge parts repeat, so a coefficient up to q^%d is infinite" % order)
 
 
@@ -161,8 +162,9 @@ def verify_character(family, rank, order):
     direct = character_lhs(config, order, route="direct")
     via_transform = character_lhs(config, order, route="transform")
     rhs = character_rhs(config, order)
-    # packed rows of one digit width compare row by row; of two widths
-    # (a wider flat side), both sides are unpacked
+    # both routes pack one digit width, and the product the same one
+    # inside the CLI limits, so each comparison goes row by row; past
+    # them, a product of another width is compared unpacked
     paths_agree = direct == via_transform
     lhs_equals_rhs = direct == rhs
     report = {
@@ -214,18 +216,17 @@ def siladic_setup():
     return colors, _chain_energy(colors), SizeTransform(4, (-3, -1, 0))
 
 
-def _walk_gf(rule, budget, setup, per_part, capped):
+def _walk_gf(rule, budget, setup, capped):
     """Generating function of one rule's members on a (colors, energy,
     transformation) setup, up to the budget's size: the path sum
     (``families._path_sum``, raising UsageError(capped) on a cycle that
     kept paths leave), each part weighed once per distinct state by
     ``_packed_weights``, and the distinct sums kept packed in the rows of a
-    ``PackedRows``.  A member's count of one color is at most the part cap
-    times ``per_part``, the most colors one part carries, and that sets the
-    digit width: the caller shows that no member it sums has more parts
-    than the cap."""
+    ``PackedRows``.  A digit holds a count of ``2 * (order + 1)``, the
+    order the budget's size: each caller shows that no member it sums
+    carries one color more often."""
     colors, energy, transform = setup
-    weigh, read = _packed_weights(colors, energy, transform, per_part * budget.max_parts)
+    weigh, read = _packed_weights(colors, energy, transform, 2 * (budget.max_size + 1))
     return read(_path_sum(rule, budget, weigh, capped), budget.max_size)
 
 
@@ -263,17 +264,18 @@ def verify_named_identity(name, order, m=None):
 
 def _walked(setup, order, **tags):
     """``{label: series}`` of the families ``tags`` names, summed on one
-    setup under its transformation up to ``order``; a part carries at most
-    two colors.
+    setup under its transformation up to ``order``.
 
-    The regular rules hold the part cap ``order + 1`` in their states, and
-    a flat member has no more parts: in each setup every part of a member
-    but its terminal has a positive charge.
+    A part carries at most two colors, and a member has at most ``order +
+    1`` parts: the regular rules hold the part cap ``order + 1`` in their
+    states, and in each setup every part of a flat member but its terminal
+    has a positive charge.  So a color appears at most ``2 * (order + 1)``
+    times, the count a digit of ``_walk_gf`` holds.
     """
     colors, energy, transform = setup
     budget = Budget(order)
     return {label: _walk_gf(_rule(tag, energy, colors, budget, transform=transform), budget,
-                            setup, 2, "zero-charge %s parts repeat, so a coefficient up to "
+                            setup, "zero-charge %s parts repeat, so a coefficient up to "
                             "q^%d is infinite" % (tag, order))
             for label, tag in tags.items()}
 

@@ -58,9 +58,9 @@ def _partition_json(pi, colors, energy):
 # m too (keith_xiong m = 10, order 50: 15-17 s, 0.85 GB, of which the two
 # path sums take 2.6-3.0 s and 0.18 GB and the two classical residue
 # columns most of the rest).  A character's path sum grows with both rank
-# and order (A2n2 rank 2, order 40: 0.1 s; rank 200, order 2: 5.5 s,
-# 0.7 GB), and can be slow inside the limits (Bn1-Ln rank 4, order 10:
-# 0.6-0.9 s, 58 MB; rank 5, order 10: 7 s, 0.5 GB).  An Fk walk builds
+# and order (A2n2 rank 2, order 40: 0.1 s; rank 200, order 2: 2.8-3.1 s,
+# 0.16 GB), and can be slow inside the limits (Bn1-Ln rank 4, order 10:
+# 0.5-0.9 s, 57 MB; rank 5, order 10: 3.6-4.6 s, 0.24 GB).  An Fk walk builds
 # all n^k color words first (3^10 words: 0.7 s, 3^12: 5.6 s).  flatten
 # --invert pads its last group with zero ground parts up to the degree, so
 # time and memory grow linearly in it (degree 10^6: 0.7 s, 54 MB; 3 x 10^6:
@@ -105,8 +105,7 @@ def _cmd_enumerate(args):
     found = families.members(args.family, energy, colors, budget, degree=args.degree)
     # a member at the default cap may have longer ones past it, which the
     # walk did not reach
-    term = args.family not in (families.O_PLUS, families.O_MINUS, families.E_PLUS,
-                               families.E_MINUS)
+    term = args.family in families.GROUNDED_TAGS
     if args.max_parts is None and any(len(pi) - term >= budget.max_parts for pi in found):
         raise UsageError("a member reaches the default part cap of %d parts, so longer ones "
                          "may be missing; pass --max-parts" % budget.max_parts)

@@ -116,6 +116,7 @@ F1, R1, F2, R2 = "F1", "R1", "F2", "R2"
 O_PLUS, O_MINUS, E_PLUS, E_MINUS = "O+", "O-", "E+", "E-"
 FK = "Fk"
 FAMILY_TAGS = (F1, R1, F2, R2, O_PLUS, O_MINUS, E_PLUS, E_MINUS, FK)
+GROUNDED_TAGS = (F1, R1, F2, R2, FK)  # the families whose members end in a terminal part
 
 
 @dataclass(frozen=True)
@@ -438,7 +439,7 @@ def _regular_rule(tag, energy, colors, budget, transform=None):
 def _rule(tag, energy, colors, budget, degree=None, transform=None):
     """The ``_Rule`` of one family under a budget, raising UsageError for a
     family that cannot be walked so."""
-    if tag in (F1, R1, F2, R2, FK):
+    if tag in GROUNDED_TAGS:
         ground_delta(energy, colors)  # grounded families need ground compatibility
     if tag == F1:
         return _flat_rule(energy, colors, budget, transform=transform)

@@ -24,8 +24,12 @@ its ``coeffs`` is a ``PackedRows``, a read-only ``Mapping`` from
 ``gf_from_partitions`` and of the path sums.  A view counts and sums its
 rows, looks a key up by packing it, and compares with a view of the same
 layout row by row; it unpacks every key only to iterate, or to compare
-across layouts.  Every other series keeps a plain dict, and
-``TruncatedSeries`` reads either through the ``Mapping`` interface.
+across layouts.  A path sum's digit holds a count of ``2 * (order + 1)``
+(``characters._walk_gf``), and inside the CLI limits each character's
+product packs the same width, so the cross-layout comparison serves tests,
+dict series, and library calls past those limits.  Every other series
+keeps a plain dict, and ``TruncatedSeries`` reads either through the
+``Mapping`` interface.
 
 The public ``TruncatedSeries(order, nvars, coeffs)`` checks every term.  The
 results this module builds (sums, negations, products, ``pochhammer_expand``
@@ -292,9 +296,11 @@ class PackedRows(Mapping):
     last degree may be empty.  ``len`` and ``TruncatedSeries.q_coefficients``
     read the rows as they are, and a lookup packs its key.  Two views of
     the same width and ``nvars`` compare row by row, since one layout packs
-    each ``(d, exps)`` to one key.  Iteration, and comparison with anything
-    else, go through one ``_unpacked()`` dict of every key per call, so a
-    caller that iterates often takes ``dict(view.items())`` once.  The view
+    each ``(d, exps)`` to one key: both character routes and, inside the
+    CLI limits, the product side.  Iteration, and comparison with anything
+    else (tests, dict series, and library calls past those limits), go
+    through one ``_unpacked()`` dict of every key per call, so a caller
+    that iterates often takes ``dict(view.items())`` once.  The view
     keeps only the width, not the ``struct`` unpacker, so it pickles and
     copies.
     """

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from partition_forge import characters, classic, series
+from partition_forge import characters, classic, cli, series
 from partition_forge.core import (
     SizeTransform,
     UsageError,
@@ -401,9 +401,12 @@ def test_character_lhs_raises_exactly_when_a_coefficient_is_infinite():
     assert raised == 400
 
 
-def _character_lhs_of_members(config, order, route):
-    """``character_lhs`` from the member list: every flat member walked and
-    held, its length checked, then summed by ``gf_from_partitions``."""
+def _flat_members(config, order, route):
+    """``(members, energy, transform)`` of one route: every flat member
+    walked under the member cap ``(order + 1) * (n + 1)``, n the number of
+    colors, and held, its length checked.  A zero-charge part has at most
+    one size per color, and at most ``order + 1`` runs of them, so a
+    longer member repeats a state: its coefficient is infinite."""
     direct = route == "direct"
     energy = config.energy_prime if direct else config.energy
     transform = None if direct else config.transform
@@ -412,6 +415,13 @@ def _character_lhs_of_members(config, order, route):
     if max(map(len, flats)) > cap:  # the terminal is not counted by the cap
         raise UsageError("zero-charge parts repeat, so a coefficient up to q^%d is infinite"
                          % order)
+    return flats, energy, transform
+
+
+def _character_lhs_of_members(config, order, route):
+    """``character_lhs`` from the member list (``_flat_members``), summed by
+    ``gf_from_partitions``."""
+    flats, energy, transform = _flat_members(config, order, route)
     return gf_from_partitions(flats, config.colors, energy, order, transform)
 
 
@@ -524,17 +534,57 @@ def test_packed_read_raises_as_the_tuple_keyed_read(monkeypatch):
     assert set(checked) == {"series", "negative"}, Counter(checked)
 
 
-def test_character_digit_width_comes_from_the_part_cap():
-    # A2n2 at rank 2 has five colors, so the cap is 126 at order 20 and 132
-    # at order 21: a color count takes a byte, then two; the members are
-    # far shorter, so gf_from_partitions packs both orders in bytes
-    config = build_config("A2n2", 2)
-    for order, width in ((20, 8), (21, 16)):
-        cap = (order + 1) * (config.colors.n + 1)
-        assert series._digits(cap.bit_length() + 1, 4)[0] == width
-        for route in ("direct", "transform"):
-            assert character_lhs(config, order, route) == _character_lhs_of_members(
-                config, order, route), (order, route)
+def test_character_digit_width_comes_from_the_order():
+    # a path sum's digit holds 2 * (order + 1), so a color count takes a
+    # byte at orders 20 and 21 (42 and 44), as the product's does; both
+    # routes and the product share it, and so compare row by row
+    for family in ("A2n2", "Dn12-Ln"):
+        config = build_config(family, 2)
+        for order in (20, 21):
+            rhs = character_rhs(config, order)
+            assert rhs.coeffs.width == 8, (family, order)
+            for route in ("direct", "transform"):
+                lhs = character_lhs(config, order, route)
+                assert lhs.coeffs.width == 8, (family, order, route)
+                assert lhs == _character_lhs_of_members(config, order, route), (
+                    family, order, route)
+
+
+def test_character_sides_share_a_width_in_every_cli_cell():
+    # widths only, no sum: every family from its least rank, every rank
+    # and order inside the CLI limits
+    cells = 0
+    for family in CHARACTER_FAMILIES:
+        least = characters._FAMILIES[family]((), ()).least
+        for rank in range(least, cli.MAX_CHARACTER_RANK + 1):
+            config = build_config(family, rank)
+            nvars = len(config.colors.non_ground)
+            for order in range(cli.MAX_CHARACTER_ORDER + 1):
+                walked = series._digits((2 * (order + 1)).bit_length() + 1, nvars)[0]
+                product_bits = series._digit_bits(config.rhs_factors, order, nvars)
+                assert walked == series._digits(product_bits, nvars)[0], (family, rank, order)
+                cells += 1
+    assert cells == 195 * 31
+
+
+def test_no_member_carries_a_color_more_than_twice_the_order_plus_one():
+    # the premise of character_lhs's digit width, on the members: every
+    # family from its least rank to 3, orders 0-6, both routes; the bound
+    # 2 * order + 1 is met only at order 0, by Dn12-Ln and Bn1-Ln
+    reached = set()
+    for family in CHARACTER_FAMILIES:
+        least = characters._FAMILIES[family]((), ()).least
+        for rank in range(least, 4):
+            config = build_config(family, rank)
+            ground = config.colors.ground
+            for order, route in product(range(7), ("direct", "transform")):
+                flats, _, _ = _flat_members(config, order, route)
+                most = max((n for pi in flats for n in Counter(
+                    p.color for p in pi if p.color != ground).values()), default=0)
+                assert most <= 2 * order + 1, (family, rank, order, route)
+                if most == 2 * order + 1:
+                    reached.add((family, order))
+    assert reached == {("Dn12-Ln", 0), ("Bn1-Ln", 0)}
 
 
 def test_identity_digit_width_comes_from_the_part_cap():

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from functools import partial
 from itertools import chain, product
 
@@ -631,11 +632,13 @@ def _recording_walk(generated):
     return walk
 
 
-def _plain_path_sum(rule, budget, weigh, capped):
+def _plain_path_sum(rule, budget, weigh, capped, cap=None):
     """A stand-in for ``families._path_sum``: the plain recursive walk, each
     part weighed on every visit, its kept paths' weights counted; with
     UsageError(capped) raised after the walk if a kept path reaches the
-    part cap, and the terminal weighed after that."""
+    part cap, or ``cap`` in its place, and the terminal weighed after that."""
+    if cap is not None:
+        budget = replace(budget, max_parts=cap)
     paths = _recording_walk([])(rule.children, rule.root, budget)
     if any(len(path) == budget.max_parts for path in paths):
         raise UsageError(capped)
@@ -699,13 +702,13 @@ def _assert_walk_is_the_plain_walk(monkeypatch, calls):
             monkeypatch, _recording_walk([]), call), call
 
 
-def _assert_path_sum_is_the_plain_fold(monkeypatch, calls):
+def _assert_path_sum_is_the_plain_fold(monkeypatch, calls, caps=None):
     # each call gives from the path sum what it gives from the plain
-    # recursive walk folded path by path under the part cap, or raises the
-    # same way
-    for call in calls:
+    # recursive walk folded path by path under the part cap, or the call's
+    # cap in ``caps``, or raises the same way
+    for call, cap in zip(calls, caps or [None] * len(calls)):
         with monkeypatch.context() as patch:
-            _patched(patch, "_path_sum", _plain_path_sum)
+            _patched(patch, "_path_sum", partial(_plain_path_sum, cap=cap))
             plain = outcome(call)
         assert outcome(call) == plain, call
 
@@ -719,13 +722,17 @@ def test_walk_is_the_plain_walk_on_the_canonical_cases(monkeypatch):
 def test_walk_is_the_plain_walk_on_the_character_routes(monkeypatch):
     from partition_forge.characters import CHARACTER_FAMILIES, build_config, character_lhs
 
-    # every family at ranks 2 and 3, but B, whose least rank is 3
+    # every family at ranks 2 and 3, but B, whose least rank is 3; the
+    # plain walk stops at the member cap (order + 1) * (n + 1), n the
+    # number of colors, past which a zero-charge part repeats its state
     configs = [build_config(family, rank) for family in CHARACTER_FAMILIES for rank in (2, 3)
                if (family, rank) != ("Bn1-Ln", 2)]
-    calls = [partial(character_lhs, config, order, route) for config in configs
+    cells = [(config, order, route) for config in configs
              for order in range(7) for route in ("direct", "transform")]
-    assert len(calls) == 7 * 7 * 2
-    _assert_path_sum_is_the_plain_fold(monkeypatch, calls)
+    assert len(cells) == 7 * 7 * 2
+    _assert_path_sum_is_the_plain_fold(
+        monkeypatch, [partial(character_lhs, *cell) for cell in cells],
+        [(order + 1) * (config.colors.n + 1) for config, order, _ in cells])
 
 
 def test_walk_is_the_plain_walk_on_size_counts(monkeypatch):
@@ -905,12 +912,12 @@ def test_the_walk_expands_each_state_once(monkeypatch):
         return sum(map(len, counts)), sum(sum(seen.values()) for seen in counts)
 
     # each Bn1-Ln route at rank 3 and order 6 sums over 87 states, which
-    # the plain walk expands 21,120 times
+    # the plain walk under the member cap 7 * 8 expands 21,120 times
     config = build_config("Bn1-Ln", 3)
     for route in ("direct", "transform"):
         call = partial(character_lhs, config, 6, route)
         assert expansions("_path_sum", families._path_sum, call) == (87, 87)
-        assert expansions("_path_sum", _plain_path_sum, call) == (87, 21120)
+        assert expansions("_path_sum", partial(_plain_path_sum, cap=7 * 8), call) == (87, 21120)
     # the 37 catalog R1 walks at Budget(7, 7): 3,283 states, 26,708 visits
     energies = small_energies()
     assert len(energies) == 37
